@@ -31,6 +31,12 @@ namespace ct = chronotier;
 // Counting is the only side effect — allocation still comes from malloc.
 std::atomic<uint64_t> g_heap_allocs{0};
 
+// These replacements pair malloc with free by design. Once GCC inlines them into a caller
+// it sees `free` on memory from `operator new` and warns (-Wmismatched-new-delete), which
+// is a false positive for replacement allocation functions; it is silenced for them only.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+
 void* operator new(std::size_t size) {
   ++g_heap_allocs;
   if (void* p = std::malloc(size == 0 ? 1 : size)) {
@@ -43,6 +49,7 @@ void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace {
 

@@ -11,9 +11,15 @@
 //
 // SimError builds the structured fatal dumps the harness and the invariant auditor attach
 // to a CHECK: a headline, the simulated tick, and key=value context lines.
+//
+// One thread may defer its failures instead: inside a ScopedCheckCapture (the workload
+// generator thread, src/harness/op_pipeline.h) a failed CHECK throws CheckFailedError, and
+// the owner re-raises it with Raise() on the thread where the failure is due. The printed
+// message is the same either way.
 
 #pragma once
 
+#include <exception>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -29,7 +35,9 @@ namespace internal {
 class CheckFailure {
  public:
   CheckFailure(const char* file, int line, const char* expression);
-  ~CheckFailure();  // Prints and aborts; never returns normally.
+  // Prints and aborts, or throws CheckFailedError inside a ScopedCheckCapture; never
+  // returns normally.
+  ~CheckFailure() noexcept(false);
 
   std::ostringstream& stream() { return stream_; }
 
@@ -42,7 +50,29 @@ struct CheckVoidify {
   void operator&(std::ostream&) {}
 };
 
+// While alive, failed CHECKs on the constructing thread throw CheckFailedError instead of
+// aborting. Nests; strictly per thread.
+class ScopedCheckCapture {
+ public:
+  ScopedCheckCapture();
+  ~ScopedCheckCapture();
+  ScopedCheckCapture(const ScopedCheckCapture&) = delete;
+  ScopedCheckCapture& operator=(const ScopedCheckCapture&) = delete;
+};
+
 }  // namespace internal
+
+// A CHECK failure captured on a ScopedCheckCapture thread, carrying the full message.
+class CheckFailedError : public std::exception {
+ public:
+  explicit CheckFailedError(std::string message) : message_(std::move(message)) {}
+  const char* what() const noexcept override { return message_.c_str(); }
+  // Prints the message and aborts, exactly as the CHECK would have in place.
+  [[noreturn]] void Raise() const;
+
+ private:
+  std::string message_;
+};
 
 // Evaluates `condition` exactly once. The streamed context (and the repeated operand
 // renderings in the _OP forms) is evaluated only when the check fails.

@@ -278,6 +278,8 @@ void Machine::AssignTenant(Process& process, int tenant) {
 void Machine::AttachWorkload(Process& process, std::unique_ptr<AccessStream> stream,
                              uint64_t seed) {
   WorkloadBinding& binding = bindings_[static_cast<size_t>(process.pid())];
+  CHECK(binding.lane < 0) << "AttachWorkload on pid " << process.pid()
+                          << " while its stream is generated on the pipeline thread";
   binding.stream = std::move(stream);
   binding.rng.Seed(seed);
   binding.stream->Init(process, binding.rng);
@@ -379,6 +381,10 @@ Vma* Machine::ResolveVma(const PageInfo& page) {
 
 void Machine::Run(SimDuration duration) {
   CHECK(started_) << "Run() before Start()";
+  if (!pipeline_decided_) {
+    pipeline_decided_ = true;
+    StartPipeline();
+  }
   const SimTime end = queue_.now() + duration;
   while (queue_.now() < end) {
     SimTime horizon = queue_.NextEventTime();
@@ -418,6 +424,32 @@ bool Machine::AllProcessesFinished() const {
   return true;
 }
 
+size_t Machine::pipelined_streams() const {
+  size_t pipelined = 0;
+  for (const WorkloadBinding& binding : bindings_) {
+    pipelined += binding.lane >= 0 ? 1 : 0;
+  }
+  return pipelined;
+}
+
+void Machine::StartPipeline() {
+  for (WorkloadBinding& binding : bindings_) {
+    if (binding.stream == nullptr || !binding.stream->SelfContained()) {
+      continue;
+    }
+    if (pipeline_ == nullptr) {
+      pipeline_ = OpPipeline::Claim(config_.replay_batch_ops);
+      if (pipeline_ == nullptr) {
+        return;
+      }
+    }
+    binding.lane = static_cast<int>(pipeline_->AddLane(binding.stream.get(), binding.rng));
+  }
+  if (pipeline_ != nullptr) {
+    pipeline_->Start();
+  }
+}
+
 void Machine::RunProcessUntil(Process& process, WorkloadBinding& binding, SimTime horizon) {
   if (binding.stream == nullptr || process.finished()) {
     process.SyncClockTo(horizon);
@@ -428,9 +460,12 @@ void Machine::RunProcessUntil(Process& process, WorkloadBinding& binding, SimTim
   // prefetched op is the op single-stepping would have produced at the same ordinal, and
   // the stream/RNG call sequence is identical (a short fill marks `exhausted`, after which
   // the stream is never called again — matching single-step's one terminating Next()).
+  // A pipelined binding takes the next slot the pipeline filled with that same FillBatch
+  // call instead.
   const size_t batch = config_.replay_batch_ops;
-  if (binding.ops.size() < batch) {
+  if (binding.lane < 0 && binding.ops.size() < batch) {
     binding.ops.resize(batch);
+    binding.batch = binding.ops.data();
   }
   // Loop-invariant hoists: the TLB reference and lane flag never change mid-run, and no
   // event fires inside this loop (faults and PEBS handlers may Push events but never run
@@ -441,7 +476,10 @@ void Machine::RunProcessUntil(Process& process, WorkloadBinding& binding, SimTim
   while (process.clock() < horizon) {
     if (binding.cursor == binding.count) {
       binding.count =
-          binding.exhausted ? 0 : binding.stream->FillBatch(binding.rng, binding.ops.data(), batch);
+          binding.exhausted ? 0
+          : binding.lane >= 0
+              ? pipeline_->Take(static_cast<size_t>(binding.lane), &binding.batch)
+              : binding.stream->FillBatch(binding.rng, binding.ops.data(), batch);
       binding.cursor = 0;
       if (binding.count < batch) {
         binding.exhausted = true;
@@ -451,7 +489,7 @@ void Machine::RunProcessUntil(Process& process, WorkloadBinding& binding, SimTim
         break;
       }
     }
-    const MemOp& op = binding.ops[binding.cursor++];
+    const MemOp& op = binding.batch[binding.cursor++];
     SimDuration spent = op.think_time + process.access_delay();
     if (spent > 0) {
       metrics_.CountThinkTime(spent);

@@ -19,6 +19,7 @@
 #include "src/fault/fault_types.h"
 #include "src/fault/invariant_auditor.h"
 #include "src/harness/metrics.h"
+#include "src/harness/op_pipeline.h"
 #include "src/harness/policy.h"
 #include "src/mem/tiered_memory.h"
 #include "src/migration/migration_engine.h"
@@ -75,7 +76,8 @@ struct MachineConfig {
   // per-op loop. Streams are machine-state independent (Next sees only the binding's RNG
   // and the stream's own cursor), so prefetching is invisible to results: any batch size
   // replays bit-identically to single-stepping (replay_batch_ops = 1, which equivalence
-  // tests use as the reference).
+  // tests use as the reference). The same fact lets self-contained streams be generated
+  // batch by batch on a second thread (src/harness/op_pipeline.h).
   uint32_t replay_batch_ops = 64;
 
   // Access-path fast lane: per-process software translation cache (last-hit VMA + a small
@@ -149,13 +151,19 @@ class Machine : private MigrationEnv {
   void Start();
 
   // --- execution ---
-  // Runs for `duration` of simulated time.
+  // Runs for `duration` of simulated time. The first call also decides, once, whether the
+  // self-contained streams bound so far are generated on a pipeline thread (when the
+  // spare-core budget grants one; see src/harness/op_pipeline.h). Results are identical
+  // either way; streams attached later stay in-thread.
   void Run(SimDuration duration);
   // Runs until every process's stream is exhausted or `max_duration` elapses; returns the
   // simulated time actually spent.
   SimDuration RunToCompletion(SimDuration max_duration);
 
   bool AllProcessesFinished() const;
+
+  // Workload streams generated on the pipeline thread (0 = every stream in-thread).
+  size_t pipelined_streams() const;
 
   // --- services for policies ---
   EventQueue& queue() override { return queue_; }
@@ -254,14 +262,17 @@ class Machine : private MigrationEnv {
  private:
   struct WorkloadBinding {
     std::unique_ptr<AccessStream> stream;
-    Rng rng;
-    // Batched-replay prefetch buffer: ops[cursor..count) are pending. `exhausted` records
-    // that a short fill already observed the stream's end, so no further stream calls are
-    // made (keeping the stream/RNG interaction identical to single-step replay).
+    Rng rng;  // Unused once pipelined: the lane owns the live copy.
+    // Batched-replay prefetch: batch[cursor..count) are pending. `batch` points into `ops`
+    // in-thread, or at the pipeline slot taken last. `exhausted` records that a short fill
+    // already observed the stream's end, so no further stream calls are made (keeping the
+    // stream/RNG interaction identical to single-step replay).
     std::vector<MemOp> ops;
+    const MemOp* batch = nullptr;
     size_t cursor = 0;
     size_t count = 0;
     bool exhausted = false;
+    int lane = -1;  // Pipeline lane, or -1 when generated in-thread.
   };
 
   // detlint:allow(dead-symbol) readable reference implementation of the inlined fast lane in RunProcessSlice
@@ -278,6 +289,8 @@ class Machine : private MigrationEnv {
   SimDuration FastPathAccess(Process& process, PageInfo& unit, uint64_t vpn, bool is_store);
   SimDuration HandleDemandFault(Process& process, Vma& vma, PageInfo& unit);
   void RunProcessUntil(Process& process, WorkloadBinding& binding, SimTime horizon);
+  // Moves the self-contained bindings onto a pipeline thread if the core budget grants one.
+  void StartPipeline();
   void ReclaimTick(SimTime now);
   // Telemetry snapshot callback (tier occupancy, LRU sizes, engine backlog, hit ratios);
   // installed on the tracer's sampler at Start(). Read-only over machine state.
@@ -306,6 +319,7 @@ class Machine : private MigrationEnv {
   PebsSampler pebs_;
   bool pebs_active_ = false;
   bool started_ = false;
+  bool pipeline_decided_ = false;  // Set by the first Run(), which calls StartPipeline().
   bool reclaim_in_progress_ = false;  // Re-entrancy guard: demotions never recurse.
   std::unique_ptr<Tracer> tracer_;   // Null unless config.trace.enabled; before engine_
                                      // (the engine holds a raw pointer into it).
@@ -316,6 +330,9 @@ class Machine : private MigrationEnv {
 
   std::vector<std::unique_ptr<Process>> processes_;
   std::vector<WorkloadBinding> bindings_;  // Indexed by pid.
+  // After bindings_: destroyed first, so the generator thread is joined before any stream
+  // it fills from dies. Null while every stream is generated in-thread.
+  std::unique_ptr<OpPipeline> pipeline_;
 };
 
 }  // namespace chronotier

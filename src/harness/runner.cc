@@ -4,6 +4,8 @@
 #include <atomic>
 #include <thread>
 
+#include "src/harness/op_pipeline.h"
+
 namespace chronotier {
 
 int DefaultJobs() {
@@ -21,6 +23,9 @@ std::vector<ExperimentResult> RunExperiments(const std::vector<ExperimentJob>& b
   };
 
   jobs = std::min<int>(std::max(jobs, 1), static_cast<int>(batch.size()));
+  // The workers beyond this thread occupy jobs - 1 cores, so machines only get a generator
+  // thread from whatever spare cores remain (src/harness/op_pipeline.h).
+  const ScopedCoreReservation reservation(std::max(jobs - 1, 0));
   if (jobs <= 1) {
     for (size_t i = 0; i < batch.size(); ++i) {
       run_one(i);

@@ -61,6 +61,7 @@ class Graph500Stream : public AccessStream {
 
   void Init(Process& process, Rng& rng) override;
   bool Next(Rng& rng, MemOp* op) override;
+  bool SelfContained() const override { return true; }
 
   const CsrGraph& graph() const { return *graph_; }
   int roots_completed() const { return roots_completed_; }

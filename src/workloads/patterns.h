@@ -23,6 +23,7 @@ class UniformStream : public AccessStream {
   explicit UniformStream(UniformConfig config) : config_(config) {}
   void Init(Process& process, Rng& rng) override;
   bool Next(Rng& rng, MemOp* op) override;
+  bool SelfContained() const override { return true; }
 
   uint64_t region_start_vpn() const { return region_vpn_; }
   uint64_t num_pages() const { return num_pages_; }
@@ -50,6 +51,7 @@ class ZipfStream : public AccessStream {
   explicit ZipfStream(ZipfConfig config) : config_(config) {}
   void Init(Process& process, Rng& rng) override;
   bool Next(Rng& rng, MemOp* op) override;
+  bool SelfContained() const override { return true; }
 
   uint64_t region_start_vpn() const { return region_vpn_; }
   uint64_t num_pages() const { return num_pages_; }
@@ -85,6 +87,7 @@ class HotsetStream : public AccessStream {
   explicit HotsetStream(HotsetConfig config) : config_(config) {}
   void Init(Process& process, Rng& rng) override;
   bool Next(Rng& rng, MemOp* op) override;
+  bool SelfContained() const override { return true; }
 
   uint64_t region_start_vpn() const { return region_vpn_; }
   uint64_t num_pages() const { return num_pages_; }
@@ -120,6 +123,7 @@ class SegmentedStream : public AccessStream {
   explicit SegmentedStream(SegmentedConfig config) : config_(config) {}
   void Init(Process& process, Rng& rng) override;
   bool Next(Rng& rng, MemOp* op) override;
+  bool SelfContained() const override { return true; }
 
   uint64_t num_pages() const { return num_pages_; }
   uint64_t segments() const { return base_vpns_.size(); }

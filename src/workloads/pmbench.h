@@ -45,6 +45,7 @@ class PmbenchStream : public AccessStream {
 
   void Init(Process& process, Rng& rng) override;
   bool Next(Rng& rng, MemOp* op) override;
+  bool SelfContained() const override { return true; }
 
   // Maps a pre-stride page index to the virtual page it touches. Exposed so benches can
   // construct ground-truth hot sets (the center fraction of the index space) even when the

@@ -53,6 +53,7 @@ class TenantKvStream : public AccessStream {
 
   void Init(Process& process, Rng& rng) override;
   bool Next(Rng& rng, MemOp* op) override;
+  bool SelfContained() const override { return true; }
 
   bool initialization_done() const { return init_cursor_ >= total_items(); }
   uint64_t ops_issued() const { return ops_issued_; }

@@ -46,6 +46,16 @@ class AccessStream {
     }
     return produced;
   }
+
+  // The self-contained contract: true promises that Next() and FillBatch() read and write
+  // only this stream's own members and the `rng` passed in — no pointer to anything the
+  // caller or another stream can see, no static state. Such a stream may be generated on
+  // another thread, ahead of replay (src/harness/op_pipeline.h): it sees the same call
+  // sequence, only earlier, so results cannot change. Its cursor state (ops issued, phase)
+  // then runs ahead of the simulation; what other threads may read while it runs is only
+  // what Init() fixed (region geometry). Decorators that write shared state (TraceRecorder
+  // appending to the caller's Trace) keep the default and stay on the replay thread.
+  virtual bool SelfContained() const { return false; }
 };
 
 }  // namespace chronotier

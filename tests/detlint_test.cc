@@ -502,7 +502,7 @@ TEST(DetlintDocs, DesignRuleTableMatchesRegistry) {
 }
 
 // The gate itself: the checked-in tree, linted with the checked-in config,
-// has zero findings. Mirrors `cmake --build build --target detlint` and the
+// has zero findings. Mirrors `cmake --build build --target run_detlint` and the
 // CI lint job.
 TEST(DetlintTree, CleanTreeHasZeroFindings) {
   const std::string root = DETLINT_SOURCE_ROOT;

@@ -1,8 +1,11 @@
 // Shared helper: field-by-field *exact* comparison of two ExperimentResults.
 //
-// Used by the TLB-equivalence tests (fast lane on vs off) and the runner tests (parallel
-// vs serial): both claim bit-identical replay, so doubles are compared with EXPECT_EQ
-// (exact), not near-equality — any ULP of drift means the replay diverged.
+// Used by the TLB-equivalence tests (fast lane on vs off), the runner tests (parallel vs
+// serial) and the pipeline tests (generator thread vs in-thread): all claim bit-identical
+// replay, so doubles are compared with EXPECT_EQ (exact), not near-equality — any ULP of
+// drift means the replay diverged. ExpectResultsIdentical compares every ExperimentResult
+// field, tenant rows included; ExpectSimulationIdentical leaves out the tenant rows, for
+// runs that differ only in which tenants they declare (and so in their accounting rows).
 
 #pragma once
 
@@ -14,8 +17,8 @@
 
 namespace chronotier {
 
-inline void ExpectResultsIdentical(const ExperimentResult& a, const ExperimentResult& b,
-                                   const std::string& context) {
+inline void ExpectSimulationIdentical(const ExperimentResult& a, const ExperimentResult& b,
+                                      const std::string& context) {
   SCOPED_TRACE(context);
   EXPECT_EQ(a.policy_name, b.policy_name);
   EXPECT_EQ(a.elapsed, b.elapsed);
@@ -57,6 +60,15 @@ inline void ExpectResultsIdentical(const ExperimentResult& a, const ExperimentRe
   EXPECT_EQ(a.emergency_reclaims, b.emergency_reclaims);
   EXPECT_EQ(a.pressure_spikes, b.pressure_spikes);
   EXPECT_EQ(a.stall_windows, b.stall_windows);
+
+  EXPECT_EQ(a.links_down, b.links_down);
+  EXPECT_EQ(a.endpoint_failures, b.endpoint_failures);
+  EXPECT_EQ(a.evacuated_pages, b.evacuated_pages);
+  EXPECT_EQ(a.evacuation_refused, b.evacuation_refused);
+  EXPECT_EQ(a.reroutes, b.reroutes);
+  EXPECT_EQ(a.reroute_parks, b.reroute_parks);
+
+  EXPECT_EQ(a.inflight_at_measure_start, b.inflight_at_measure_start);
   EXPECT_EQ(a.audits_run, b.audits_run);
 
   EXPECT_EQ(a.migration_commit_hash, b.migration_commit_hash);
@@ -64,6 +76,30 @@ inline void ExpectResultsIdentical(const ExperimentResult& a, const ExperimentRe
 
   EXPECT_EQ(a.sample_times, b.sample_times);
   EXPECT_EQ(a.residency_percent, b.residency_percent);
+}
+
+inline void ExpectResultsIdentical(const ExperimentResult& a, const ExperimentResult& b,
+                                   const std::string& context) {
+  ExpectSimulationIdentical(a, b, context);
+  SCOPED_TRACE(context);
+  ASSERT_EQ(a.tenants.size(), b.tenants.size());
+  for (size_t t = 0; t < a.tenants.size(); ++t) {
+    SCOPED_TRACE("tenant row " + std::to_string(t));
+    const TenantResult& x = a.tenants[t];
+    const TenantResult& y = b.tenants[t];
+    EXPECT_EQ(x.name, y.name);
+    EXPECT_EQ(x.accesses, y.accesses);
+    EXPECT_EQ(x.p50_latency_ns, y.p50_latency_ns);
+    EXPECT_EQ(x.p99_latency_ns, y.p99_latency_ns);
+    EXPECT_EQ(x.resident_fast_pages, y.resident_fast_pages);
+    EXPECT_EQ(x.resident_total_pages, y.resident_total_pages);
+    EXPECT_EQ(x.qos_checks, y.qos_checks);
+    EXPECT_EQ(x.qos_refusals, y.qos_refusals);
+    EXPECT_EQ(x.qos_admits, y.qos_admits);
+    EXPECT_EQ(x.borrows, y.borrows);
+    EXPECT_EQ(x.migration_pages_admitted, y.migration_pages_admitted);
+    EXPECT_EQ(x.migration_bytes_admitted, y.migration_bytes_admitted);
+  }
 }
 
 }  // namespace chronotier

@@ -25,16 +25,6 @@ TieredMemory SmallMemory(uint64_t fast_pages = 1024, uint64_t slow_pages = 4096)
   return TieredMemory({TierSpec::Dram(fast_pages), TierSpec::OptanePmem(slow_pages)});
 }
 
-QosRequest Promote(int32_t owner, uint64_t pages, SimTime now = 0) {
-  QosRequest request;
-  request.owner_pid = owner;
-  request.from = kSlowNode;
-  request.to = kFastNode;
-  request.pages = pages;
-  request.now = now;
-  return request;
-}
-
 TEST(TenantRegistryTest, ShippedProgramsAreRegistered) {
   EXPECT_TRUE(IsRegisteredQosProgram("strict-budget"));
   EXPECT_TRUE(IsRegisteredQosProgram("borrow"));
@@ -349,7 +339,7 @@ TEST(TenantMachineTest, DeclaredUnlimitedTenantIsInert) {
   const ExperimentResult without =
       Experiment::Run(legacy, FindPolicy("Chrono"), procs);
   const ExperimentResult with = Experiment::Run(tenanted, FindPolicy("Chrono"), procs);
-  ExpectResultsIdentical(without, with, "unlimited tenant vs legacy");
+  ExpectSimulationIdentical(without, with, "unlimited tenant vs legacy");
   ASSERT_EQ(with.tenants.size(), 1u);
   EXPECT_GT(with.tenants[0].accesses, 0u);
   EXPECT_EQ(with.tenants[0].qos_checks, 0u);  // Hook never installed.
@@ -383,7 +373,7 @@ TEST(TenantMachineTest, TenantAccessDelayMatchesDeprecatedAlias) {
       Experiment::Run(via_alias, FindPolicy("Chrono"), alias_procs);
   const ExperimentResult tenant_result =
       Experiment::Run(via_tenants, FindPolicy("Chrono"), tenant_procs);
-  ExpectResultsIdentical(alias_result, tenant_result, "tenant delay vs alias");
+  ExpectSimulationIdentical(alias_result, tenant_result, "tenant delay vs alias");
   ASSERT_EQ(tenant_result.tenants.size(), 2u);
   // The delayed tenant runs measurably slower (the knob actually took effect).
   EXPECT_LT(tenant_result.tenants[1].accesses, tenant_result.tenants[0].accesses);
