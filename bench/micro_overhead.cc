@@ -22,7 +22,11 @@
 #include "src/migration/migration_engine.h"
 #include "src/sim/event_queue.h"
 #include "src/vm/address_space.h"
+#include "src/vm/process.h"
 #include "src/vm/scanner.h"
+#include "src/workloads/patterns.h"
+#include "src/workloads/pmbench.h"
+#include "src/workloads/tenant_kv.h"
 
 namespace ct = chronotier;
 
@@ -152,6 +156,67 @@ void BM_RngGaussian(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RngGaussian);
+
+// --- Workload generators ---
+// ns per generated op through FillBatch at the replay batch size (64), the call the
+// replay loop makes per refill. Configs mirror the bench workloads: bench_common.h's
+// BenchPmbenchProc (96 MB Gaussian, stride 2), a 32-VMA segmented stream, and one
+// open-loop tenant_kv server (16 tenants x 192 one-page items).
+
+template <typename Stream, typename Config>
+void RunFillBatch(benchmark::State& state, const Config& config) {
+  ct::Process process(0, "gen");
+  ct::Rng rng(7);
+  Stream stream(config);
+  stream.Init(process, rng);
+  std::array<ct::MemOp, 64> ops;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(stream.FillBatch(rng, ops.data(), ops.size()));
+    benchmark::DoNotOptimize(ops.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(ops.size()));
+}
+
+void BM_FillBatchPmbench(benchmark::State& state) {
+  ct::PmbenchConfig config;
+  config.working_set_bytes = 96ull << 20;
+  config.read_ratio = 0.70;
+  config.stride = 2;
+  RunFillBatch<ct::PmbenchStream>(state, config);
+}
+BENCHMARK(BM_FillBatchPmbench);
+
+void BM_FillBatchSegmented(benchmark::State& state) {
+  ct::SegmentedConfig config;
+  config.working_set_bytes = 96ull << 20;
+  config.segments = 32;
+  config.read_ratio = 0.30;
+  RunFillBatch<ct::SegmentedStream>(state, config);
+}
+BENCHMARK(BM_FillBatchSegmented);
+
+void BM_FillBatchTenantKv(benchmark::State& state) {
+  ct::TenantKvConfig config;
+  config.virtual_tenants = 16;
+  config.items_per_tenant = 192;
+  config.value_bytes = ct::kBasePageSize;
+  config.churn_period_ops = 10000;
+  config.churn_stride = 5;
+  RunFillBatch<ct::TenantKvStream>(state, config);
+}
+BENCHMARK(BM_FillBatchTenantKv);
+
+// One Zipf draw; Arg = n. 192 is tenant_kv's keyspace (tabulated acceptance bound),
+// 100000 is above the table cap (two pow calls per rejection test).
+void BM_ZipfSample(benchmark::State& state) {
+  const ct::ZipfSampler zipf(static_cast<uint64_t>(state.range(0)), 0.99);
+  ct::Rng rng(11);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(zipf.Sample(rng));
+  }
+}
+BENCHMARK(BM_ZipfSample)->Arg(192)->Arg(100000);
 
 void BM_SelectionEfficiencyNumeric(benchmark::State& state) {
   const ct::HotnessDensity h(0.6);

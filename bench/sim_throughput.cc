@@ -4,8 +4,9 @@
 // fig06-style sweep.
 //
 // Unlike every other bench (which reports *simulated* metrics), this one times the host.
-// It is the perf baseline for the hot path: regressions in Machine::AccessMemory, the
-// event queue, or the runner show up here first. Results go to BENCH_throughput.json
+// It is the perf baseline for the hot path: regressions in the replay loop
+// (Machine::RunProcessUntil and its fast lane), the event queue, or the runner show up
+// here first. Results go to BENCH_throughput.json
 // (override with --out FILE); CI gates against bench/BENCH_throughput.baseline.json via
 // tools/ci/check_throughput.py — sim_accesses exactly, hit rate tightly, wall-clock with
 // a wide band (shared runners are noisy).

@@ -8,6 +8,16 @@ ZipfSampler::ZipfSampler(uint64_t n, double s) : n_(n == 0 ? 1 : n), s_(s) {
   h_x1_ = H(1.5) - 1.0;
   h_n_ = H(static_cast<double>(n_) + 0.5);
   threshold_ = 2.0 - HInverse(H(2.5) - std::pow(2.0, -s_));
+  if (n_ <= kAcceptTableMax) {
+    accept_.resize(n_);
+    for (uint64_t k = 1; k <= n_; ++k) {
+      accept_[k - 1] = AcceptBoundFormula(k);
+    }
+  }
+}
+
+double ZipfSampler::AcceptBoundFormula(uint64_t k) const {
+  return H(static_cast<double>(k) + 0.5) - std::pow(static_cast<double>(k), -s_);
 }
 
 double ZipfSampler::H(double x) const {
@@ -33,7 +43,7 @@ uint64_t ZipfSampler::Sample(Rng& rng) const {
     if (static_cast<double>(k) - x <= threshold_) {
       return k - 1;
     }
-    if (u >= H(static_cast<double>(k) + 0.5) - std::pow(static_cast<double>(k), -s_)) {
+    if (u >= AcceptBound(k)) {
       return k - 1;
     }
   }

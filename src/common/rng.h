@@ -10,6 +10,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <vector>
 
 namespace chronotier {
 
@@ -106,11 +107,23 @@ class Rng {
 
 // Zipf(s) sampler over {0, ..., n-1} using rejection-inversion (Hörmann & Derflinger).
 // Suitable for the skewed key-popularity distributions used by the KV-store workloads.
+//
+// For n <= kAcceptTableMax the per-rank acceptance bound H(k + 0.5) - k^-s is tabulated at
+// construction with the very expression Sample() would otherwise evaluate, so a draw reads
+// one double instead of calling pow twice and returns the same rank; above the cap the
+// bound is computed per draw.
 class ZipfSampler {
  public:
+  static constexpr uint64_t kAcceptTableMax = 4096;
+
   ZipfSampler(uint64_t n, double s);
 
   uint64_t Sample(Rng& rng) const;
+
+  // The rejection test's acceptance bound H(k + 0.5) - k^-s for rank k in [1, n].
+  double AcceptBound(uint64_t k) const {
+    return accept_.empty() ? AcceptBoundFormula(k) : accept_[k - 1];
+  }
 
   uint64_t n() const { return n_; }
   double s() const { return s_; }
@@ -118,12 +131,14 @@ class ZipfSampler {
  private:
   double H(double x) const;
   double HInverse(double x) const;
+  double AcceptBoundFormula(uint64_t k) const;
 
   uint64_t n_;
   double s_;
   double h_x1_;
   double h_n_;
   double threshold_;
+  std::vector<double> accept_;  // accept_[k - 1] = AcceptBoundFormula(k); empty above the cap.
 };
 
 }  // namespace chronotier

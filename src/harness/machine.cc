@@ -165,6 +165,12 @@ std::vector<std::string> MachineConfig::Validate() const {
 }
 
 namespace {
+// Batch-lookahead distance d of the replay loop, in ops: units are prefetched d ops
+// ahead, the TLB slots naming them 2d ahead, oracle records d/2 ahead. (Issued at d
+// with the unit, the oracle prefetch stalls on the unit line; it lost in interleaved
+// segmented_rw runs.)
+constexpr size_t kLookahead = 4;
+
 std::vector<TierSpec> ScaleBandwidth(std::vector<TierSpec> tiers, double scale) {
   if (scale > 1.0) {
     for (TierSpec& spec : tiers) {
@@ -473,6 +479,7 @@ void Machine::RunProcessUntil(Process& process, WorkloadBinding& binding, SimTim
   // re-deriving them per op behind three call frames.
   TranslationCache& tlb = process.tlb();
   const bool lane_enabled = config_.enable_translation_cache;
+  const bool track_oracle = config_.track_oracle;
   while (process.clock() < horizon) {
     if (binding.cursor == binding.count) {
       binding.count =
@@ -489,12 +496,39 @@ void Machine::RunProcessUntil(Process& process, WorkloadBinding& binding, SimTim
         break;
       }
     }
-    const MemOp& op = binding.batch[binding.cursor++];
+    // Batch lookahead (DESIGN.md §5): the batch is fully materialised, so the three lines
+    // a fast-lane op waits on are requested ahead, staged so each stage reads only lines
+    // an earlier stage requested: the TLB slot of op cursor + 2d, the unit that slot names
+    // for op cursor + d, and the oracle record of op cursor + d/2 (its unit's arena index
+    // is on a line requested d/2 ops ago). Prefetches write no simulated state and move
+    // no TLB counter, so results are unchanged.
+    const size_t cursor = binding.cursor++;
+    if (lane_enabled) {
+      if (cursor + 2 * kLookahead < binding.count) {
+        tlb.PrefetchSlot(binding.batch[cursor + 2 * kLookahead].vaddr / kBasePageSize);
+      }
+      if (cursor + kLookahead < binding.count) {
+        if (const PageInfo* next =
+                tlb.Peek(binding.batch[cursor + kLookahead].vaddr / kBasePageSize)) {
+          __builtin_prefetch(next, 1);
+        }
+      }
+      if (track_oracle && cursor + kLookahead / 2 < binding.count) {
+        if (const PageInfo* next =
+                tlb.Peek(binding.batch[cursor + kLookahead / 2].vaddr / kBasePageSize)) {
+          __builtin_prefetch(&arena_.cold(*next), 1);
+        }
+      }
+    }
+    const MemOp& op = binding.batch[cursor];
     SimDuration spent = op.think_time + process.access_delay();
     if (spent > 0) {
       metrics_.CountThinkTime(spent);
     }
-    // Inlined AccessMemory: identical lane check and charge sequence, minus the call.
+    // Fast lane: a cached translation whose unit still satisfies the fast-path flag mask
+    // (present, not PROT_NONE, not migrating) skips VMA resolution and fault handling.
+    // PEBS sampling charges inside the lane (FastPathAccess), so PEBS policies like Memtis
+    // keep the lane instead of forcing every access down the slow path.
     const uint64_t vpn = op.vaddr / kBasePageSize;
     bool fast = false;
     if (lane_enabled) {
@@ -584,28 +618,6 @@ Machine::TlbCounters Machine::TlbStats() const {
     total.invalidations += tlb.invalidations();
   }
   return total;
-}
-
-SimDuration Machine::AccessMemory(Process& process, uint64_t vaddr, bool is_store) {
-  const uint64_t vpn = vaddr / kBasePageSize;
-
-  // Fast lane: a cached translation whose unit still satisfies the fast-path flag mask
-  // (present, not PROT_NONE, not migrating) skips VMA resolution and fault handling
-  // entirely. PEBS sampling charges inside the lane (FastPathAccess), so PEBS policies
-  // like Memtis keep the fast lane instead of forcing every access down the slow path.
-  // The batched replay loop in RunProcessUntil inlines this same check.
-  if (config_.enable_translation_cache) {
-    TranslationCache& tlb = process.tlb();
-    if (PageInfo* cached = tlb.Lookup(vpn)) {
-      if ((cached->flags & TranslationCache::kFastPathMask) == kPagePresent) {
-        return FastPathAccess(process, *cached, vpn, is_store);
-      }
-      // Stale entry (poisoned, migrating, or demand-fault pending): drop it and take the
-      // slow path, which re-installs once the unit settles.
-      tlb.Invalidate(vpn);
-    }
-  }
-  return SlowPathAccess(process, vpn, is_store);
 }
 
 SimDuration Machine::SlowPathAccess(Process& process, uint64_t vpn, bool is_store) {

@@ -81,7 +81,7 @@ struct MachineConfig {
   uint32_t replay_batch_ops = 64;
 
   // Access-path fast lane: per-process software translation cache (last-hit VMA + a small
-  // direct-mapped vpn -> hotness-unit TLB) consulted at the top of AccessMemory. Results
+  // direct-mapped vpn -> hotness-unit TLB) consulted per op by RunProcessUntil. Results
   // are bit-identical with it on or off (the fast lane replays exactly the slow path's
   // present/!PROT_NONE/!migrating tail); the switch exists for equivalence tests and for
   // measuring the fast lane's contribution in bench/sim_throughput.
@@ -275,12 +275,10 @@ class Machine : private MigrationEnv {
     int lane = -1;  // Pipeline lane, or -1 when generated in-thread.
   };
 
-  // detlint:allow(dead-symbol) readable reference implementation of the inlined fast lane in RunProcessSlice
-  SimDuration AccessMemory(Process& process, uint64_t vaddr, bool is_store);
   // Everything past the fast-lane check: VMA resolution, demand/hint faults, device
-  // charge, bookkeeping, translation install. AccessMemory is lane check + this; the
-  // batched replay loop in RunProcessUntil performs its own lane check with the TLB
-  // reference and enable flag hoisted out of the per-op loop and calls this on a miss.
+  // charge, bookkeeping, translation install. The replay loop in RunProcessUntil performs
+  // the lane check (TLB reference and enable flag hoisted out of the per-op loop) and
+  // calls this on a miss or a stale entry.
   SimDuration SlowPathAccess(Process& process, uint64_t vpn, bool is_store);
   // The fast lane: device charge + flag/metrics update for a cached, present,
   // non-PROT_NONE, non-migrating unit. Must stay byte-for-byte equivalent to the tail of

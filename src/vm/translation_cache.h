@@ -65,6 +65,17 @@ class TranslationCache {
 
   void Insert(uint64_t vpn, PageInfo* unit) { slots_[vpn & (kEntries - 1)] = unit; }
 
+  // Batch-lookahead helpers for the replay loop. Neither validates the entry nor moves a
+  // counter — Lookup stays the only source of hits/misses — so they can run ahead of the
+  // op being replayed without any effect on results or TlbStats.
+  //
+  // Starts loading the slot that will translate `vpn`.
+  void PrefetchSlot(uint64_t vpn) const { __builtin_prefetch(&slots_[vpn & (kEntries - 1)]); }
+  // The raw slot content for `vpn`: the unit a later Lookup would validate, an aliased
+  // unit, or nullptr. Storage is pinned (see above), so the pointer is always safe to
+  // prefetch through.
+  const PageInfo* Peek(uint64_t vpn) const { return slots_[vpn & (kEntries - 1)]; }
+
   // Drops the entry translating `vpn` (if cached). An aliased entry for a different vpn
   // in the same slot is left alone — Lookup's Covers() check already rejects it for this
   // vpn, so it is not a stale translation of anything in the invalidated range.

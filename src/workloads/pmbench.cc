@@ -13,16 +13,38 @@ void PmbenchStream::Init(Process& process, Rng& /*rng*/) {
   num_pages_ = std::max<uint64_t>(config_.working_set_bytes / kBasePageSize, 1);
 }
 
+namespace {
+
+// Spreads an in-range pre-stride index (< n) by `stride` (>= 1) and wraps it back into
+// [0, n). For stride <= 2 the product is below 2n, so one conditional subtraction is the
+// remainder; it is written branch-free because for a centred Gaussian index the wrap is a
+// coin flip. Larger strides keep the division.
+uint64_t StrideWrap(uint64_t index, uint64_t stride, uint64_t n) {
+  const uint64_t strided = index * stride;
+  if (stride <= 2) {
+    return strided - (strided >= n ? n : 0);
+  }
+  return strided < n ? strided : strided % n;
+}
+
+// Wraps an out-of-range Gaussian draw back into [0, n) (keeps the distribution's mass
+// without clamping pileup at the edges); with sigma <= 0.25 the wrap is rare, so divisions
+// stay off the hot path.
+uint64_t WrapGaussian(double draw, int64_t n) {
+  auto index = static_cast<int64_t>(draw);
+  if (index < 0 || index >= n) {
+    index = ((index % n) + n) % n;
+  }
+  return static_cast<uint64_t>(index);
+}
+
+}  // namespace
+
 uint64_t PmbenchStream::MapIndexToVpn(uint64_t index) const {
-  // Hot path: avoid divisions when the index is already in range (the common case).
   if (index >= num_pages_) {
     index %= num_pages_;
   }
-  uint64_t strided = index * std::max<uint64_t>(config_.stride, 1);
-  if (strided >= num_pages_) {
-    strided %= num_pages_;
-  }
-  return region_vpn_ + strided;
+  return region_vpn_ + StrideWrap(index, std::max<uint64_t>(config_.stride, 1), num_pages_);
 }
 
 std::vector<uint64_t> PmbenchStream::HotVpns(double fraction) const {
@@ -47,15 +69,7 @@ uint64_t PmbenchStream::DrawIndex(Rng& rng) {
     case PmbenchPattern::kGaussian: {
       const double center = static_cast<double>(num_pages_) / 2.0;
       const double sigma = static_cast<double>(num_pages_) * config_.sigma_fraction;
-      const double draw = center + sigma * rng.NextGaussian();
-      // Out-of-range draws wrap (keeps the distribution's mass without clamping pileup at
-      // the edges); with sigma <= 0.25 the wrap is rare, so divisions stay off the hot path.
-      auto index = static_cast<int64_t>(draw);
-      const auto n = static_cast<int64_t>(num_pages_);
-      if (index < 0 || index >= n) {
-        index = ((index % n) + n) % n;
-      }
-      return static_cast<uint64_t>(index);
+      return WrapGaussian(center + sigma * rng.NextGaussian(), static_cast<int64_t>(num_pages_));
     }
   }
   return 0;
@@ -77,6 +91,58 @@ bool PmbenchStream::Next(Rng& rng, MemOp* op) {
   op->is_store = !rng.NextBool(config_.read_ratio);
   op->think_time = config_.per_op_delay;
   return true;
+}
+
+size_t PmbenchStream::FillBatch(Rng& rng, MemOp* ops, size_t max) {
+  // The same ops as a Next() loop, with the per-call work hoisted: the init prefix first,
+  // then the pattern body in one loop per pattern. Every Rng call and floating-point
+  // expression is Next()'s, in Next()'s order, so each op and the RNG state after the batch
+  // are identical (GeneratorBatchTest enforces this).
+  size_t produced = 0;
+  if (config_.sequential_init) {
+    for (; produced < max && init_cursor_ < num_pages_; ++produced) {
+      ops[produced] = MemOp{(region_vpn_ + init_cursor_++) * kBasePageSize, true, 0};
+    }
+  }
+  uint64_t body = max - produced;
+  if (config_.op_limit != 0) {
+    body = std::min(body, config_.op_limit - ops_issued_);
+  }
+  ops_issued_ += body;
+  MemOp* const out = ops + produced;
+  const uint64_t n = num_pages_;
+  const uint64_t stride = std::max<uint64_t>(config_.stride, 1);
+  const uint64_t base = region_vpn_;
+  const double read_ratio = config_.read_ratio;
+  const SimDuration delay = config_.per_op_delay;
+  auto emit = [&](MemOp& op, uint64_t index) {
+    op.vaddr = (base + StrideWrap(index, stride, n)) * kBasePageSize +
+               rng.NextBelow(kBasePageSize & ~7ull);
+    op.is_store = !rng.NextBool(read_ratio);
+    op.think_time = delay;
+  };
+  switch (config_.pattern) {
+    case PmbenchPattern::kUniform:
+      for (uint64_t i = 0; i < body; ++i) {
+        emit(out[i], rng.NextBelow(n));
+      }
+      break;
+    case PmbenchPattern::kLinear:
+      for (uint64_t i = 0; i < body; ++i) {
+        emit(out[i], linear_cursor_++ % n);
+      }
+      break;
+    case PmbenchPattern::kGaussian: {
+      const double center = static_cast<double>(n) / 2.0;
+      const double sigma = static_cast<double>(n) * config_.sigma_fraction;
+      const auto signed_n = static_cast<int64_t>(n);
+      for (uint64_t i = 0; i < body; ++i) {
+        emit(out[i], WrapGaussian(center + sigma * rng.NextGaussian(), signed_n));
+      }
+      break;
+    }
+  }
+  return produced + body;
 }
 
 }  // namespace chronotier

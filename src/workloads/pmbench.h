@@ -45,6 +45,7 @@ class PmbenchStream : public AccessStream {
 
   void Init(Process& process, Rng& rng) override;
   bool Next(Rng& rng, MemOp* op) override;
+  size_t FillBatch(Rng& rng, MemOp* ops, size_t max) override;
   bool SelfContained() const override { return true; }
 
   // Maps a pre-stride page index to the virtual page it touches. Exposed so benches can

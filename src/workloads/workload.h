@@ -38,7 +38,9 @@ class AccessStream {
   // that equivalence is what lets Machine::RunProcessUntil replay a whole batch per quantum
   // with the virtual dispatch hoisted out of the per-op loop (tests/bitwise_equivalence_test
   // holds batched and single-step replay to the same fingerprint). Streams with cheap bulk
-  // generation may override it; overrides must draw from `rng` exactly as Next() would.
+  // generation may override it (PmbenchStream does); an override must produce the ops a
+  // Next() loop would and leave `rng` in the same state, for every batch size and stream
+  // end. tests/generator_batch_test.cc (GeneratorBatchTest) enforces this per override.
   virtual size_t FillBatch(Rng& rng, MemOp* ops, size_t max) {
     size_t produced = 0;
     while (produced < max && Next(rng, &ops[produced])) {
