@@ -18,9 +18,11 @@
 #include <string>
 #include <vector>
 
+#include "src/common/check.h"
 #include "src/common/table.h"
 #include "src/core/standard_policies.h"
 #include "src/harness/experiment.h"
+#include "src/harness/result_fields.h"
 #include "src/harness/runner.h"
 #include "src/policies/scan_policy_base.h"
 #include "src/topology/topology.h"
@@ -357,6 +359,52 @@ inline const std::vector<std::pair<std::string, double>>& RwRatios() {
   static const std::vector<std::pair<std::string, double>> kRatios = {
       {"95:5", 0.95}, {"70:30", 0.70}, {"30:70", 0.30}, {"5:95", 0.05}};
   return kRatios;
+}
+
+// The chaos-soak fault schedule: transient/persistent copy faults, channel stalls with
+// bandwidth collapse, fast-tier pressure spikes and allocation-failure windows, starting
+// once warmup placement has settled. bench/fabric_soak layers its fabric plan on top.
+inline FaultPlan BenchChaosPlan(uint64_t seed) {
+  FaultPlan plan;
+  plan.enabled = true;
+  plan.seed = seed;
+  plan.start_after = 2 * kSecond;
+  plan.copy_fail_transient_p = 0.03;
+  plan.copy_fail_persistent_p = 0.001;
+  plan.stall_period = 900 * kMillisecond;
+  plan.stall_fire_p = 0.6;
+  plan.stall_duration = 3 * kMillisecond;
+  plan.stall_window = 40 * kMillisecond;
+  plan.stall_bandwidth_slowdown = 4.0;
+  plan.pressure_period = 1700 * kMillisecond;
+  plan.pressure_fire_p = 0.7;
+  plan.pressure_duration = 120 * kMillisecond;
+  plan.pressure_fraction = 0.08;
+  plan.alloc_fail_period = 2300 * kMillisecond;
+  plan.alloc_fail_fire_p = 0.7;
+  plan.alloc_fail_duration = 60 * kMillisecond;
+  return plan;
+}
+
+// Transaction ledger of one finished run: nothing a fault or a QoS refusal touched may
+// simply vanish. Counters cover the measured window, so work in flight across the warmup
+// boundary retires without a measured submission (the inflight_at_measure_start
+// allowance) and work still in flight at the end may have been submitted in it.
+inline void CheckMigrationLedger(Machine& machine, const ExperimentResult& result) {
+  const uint64_t retired = result.migrations_committed + result.migrations_aborted +
+                           result.migrations_parked;
+  CHECK_LE(retired, result.migrations_submitted + result.inflight_at_measure_start +
+                        machine.migration().inflight_transactions())
+      << "policy " << result.policy_name << " lost track of migrations";
+}
+
+// Two-run determinism gate of the benches: every result field, tenant rows included, must
+// match bit for bit; the first field that does not aborts the bench.
+inline void CheckBitIdentical(const ExperimentResult& a, const ExperimentResult& b,
+                              const std::string& cell) {
+  const std::string field = FirstDifference(a, b);
+  CHECK(field.empty()) << "result field '" << field
+                       << "' diverged across identical runs (" << cell << ")";
 }
 
 // Migration-engine table shared by the figure benches: one row per (label, result) pair,

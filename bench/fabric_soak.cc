@@ -13,9 +13,8 @@
 //   4ep-clean:     base chaos faults only, no fabric plan — asserts every fabric counter
 //                  is exactly zero (the fabric layer is inert when not scheduled)
 //
-// Everything runs twice and is checked bit-identical (commit hash, throughput, FMAR, and
-// all fabric counters): fault-domain recovery must be exactly as deterministic as the
-// healthy fabric.
+// Everything runs twice and is checked bit-identical in every result field: fault-domain
+// recovery must be exactly as deterministic as the healthy fabric.
 
 #include <cstdio>
 #include <fstream>
@@ -34,34 +33,11 @@ namespace {
 // The leaf endpoint under node 1 in the 4-endpoint chain (1,(2,4),(3,5)): node id 3.
 constexpr ct::NodeId kHotRemoveNode = 3;
 
-// The base (non-fabric) chaos schedule, shared with bench/chaos_soak.
-ct::FaultPlan BasePlan(uint64_t seed) {
-  ct::FaultPlan plan;
-  plan.enabled = true;
-  plan.seed = seed;
-  plan.start_after = 2 * ct::kSecond;  // Let warmup placement settle first.
-  plan.copy_fail_transient_p = 0.03;
-  plan.copy_fail_persistent_p = 0.001;
-  plan.stall_period = 900 * ct::kMillisecond;
-  plan.stall_fire_p = 0.6;
-  plan.stall_duration = 3 * ct::kMillisecond;
-  plan.stall_window = 40 * ct::kMillisecond;
-  plan.stall_bandwidth_slowdown = 4.0;
-  plan.pressure_period = 1700 * ct::kMillisecond;
-  plan.pressure_fire_p = 0.7;
-  plan.pressure_duration = 120 * ct::kMillisecond;
-  plan.pressure_fraction = 0.08;
-  plan.alloc_fail_period = 2300 * ct::kMillisecond;
-  plan.alloc_fail_fire_p = 0.7;
-  plan.alloc_fail_duration = 60 * ct::kMillisecond;
-  return plan;
-}
-
 // Randomized fabric faults on top of the base schedule: link windows fire often enough
 // that multi-hop copies cross them, and one endpoint periodically fails and recovers so
 // evacuation, allocation steering, and recovery all get exercised in a single run.
 ct::FaultPlan FabricPlan(uint64_t seed) {
-  ct::FaultPlan plan = BasePlan(seed);
+  ct::FaultPlan plan = ct::BenchChaosPlan(seed);
   plan.fabric.link_fault_period = 700 * ct::kMillisecond;
   plan.fabric.link_fault_fire_p = 0.6;
   plan.fabric.link_down_p = 0.5;
@@ -93,14 +69,7 @@ std::vector<ct::ProcessSpec> SoakProcesses(ct::SimDuration per_op_delay) {
 
 // Shared per-run assertions — stateless, safe across concurrently running soak cells.
 void CheckSoakRun(ct::Machine& machine, ct::ExperimentResult& result) {
-  // Transaction ledger must balance: nothing a fault touched may simply vanish. Work in
-  // flight across the warmup boundary retires without a measured submission, hence the
-  // inflight_at_measure_start allowance.
-  const uint64_t retired = result.migrations_committed + result.migrations_aborted +
-                           result.migrations_parked;
-  CHECK_LE(retired, result.migrations_submitted + result.inflight_at_measure_start +
-                        machine.migration().inflight_transactions())
-      << "policy " << result.policy_name << " lost track of migrations";
+  ct::CheckMigrationLedger(machine, result);
   CHECK_GT(result.audits_run, 0u)
       << "soak ran without a single audit — the run proves nothing";
   // Fabric invariant, re-asserted at the bench layer: an offline endpoint holds nothing.
@@ -139,23 +108,6 @@ struct Cell {
   ct::ExperimentResult result;
 };
 
-void CheckBitIdentical(const ct::ExperimentResult& a, const ct::ExperimentResult& b,
-                       const std::string& row, const std::string& policy) {
-  const auto context = [&] { return " (row=" + row + ", policy=" + policy + ")"; };
-  CHECK(a.migration_commit_hash == b.migration_commit_hash)
-      << "commit-sequence hash diverged across identical runs" << context();
-  CHECK(a.throughput_ops == b.throughput_ops)
-      << "throughput diverged across identical runs" << context();
-  CHECK(a.fmar == b.fmar) << "FMAR diverged across identical runs" << context();
-  CHECK(a.links_down == b.links_down && a.endpoint_failures == b.endpoint_failures)
-      << "fabric fault counters diverged across identical runs" << context();
-  CHECK(a.evacuated_pages == b.evacuated_pages &&
-        a.evacuation_refused == b.evacuation_refused)
-      << "evacuation counters diverged across identical runs" << context();
-  CHECK(a.reroutes == b.reroutes && a.reroute_parks == b.reroute_parks)
-      << "re-route counters diverged across identical runs" << context();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -190,7 +142,8 @@ int main(int argc, char** argv) {
     ct::MatrixRow row;
     row.label = "4ep-clean";
     row.config = SoakMachine(4, /*fault_seed=*/7, quick);
-    row.config.fault = BasePlan(7);  // No fabric plan: the fabric layer must stay inert.
+    // No fabric plan: the fabric layer must stay inert.
+    row.config.fault = ct::BenchChaosPlan(7);
     row.processes = SoakProcesses(2 * ct::kMicrosecond);
     chaos_rows.push_back(std::move(row));
   }
@@ -234,7 +187,8 @@ int main(int argc, char** argv) {
                            const auto& second) {
     for (size_t r = 0; r < rows.size(); ++r) {
       for (size_t i = 0; i < policies.size(); ++i) {
-        CheckBitIdentical(first[r][i], second[r][i], rows[r].label, policies[i].name);
+        ct::CheckBitIdentical(first[r][i], second[r][i],
+                              rows[r].label + "/" + policies[i].name);
         cells.push_back({rows[r].label, policies[i].name, first[r][i]});
       }
     }
@@ -283,22 +237,9 @@ int main(int argc, char** argv) {
     json.Key("runs");
     json.BeginArray();
     for (const Cell& cell : cells) {
-      const ct::ExperimentResult& r = cell.result;
       json.BeginObject();
       json.Field("row", cell.row);
-      json.Field("policy", cell.policy);
-      json.Field("throughput_ops", r.throughput_ops);
-      json.Field("committed", r.migrations_committed);
-      json.Field("aborted", r.migrations_aborted);
-      json.Field("parked", r.migrations_parked);
-      json.Field("reroutes", r.reroutes);
-      json.Field("reroute_parks", r.reroute_parks);
-      json.Field("links_down", r.links_down);
-      json.Field("endpoint_failures", r.endpoint_failures);
-      json.Field("evacuated_pages", r.evacuated_pages);
-      json.Field("evacuation_refused", r.evacuation_refused);
-      json.Field("audits_run", r.audits_run);
-      json.Field("commit_hash", r.migration_commit_hash);
+      ct::WriteResultFields(json, cell.result);
       json.EndObject();
     }
     json.EndArray();

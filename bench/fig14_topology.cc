@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "src/common/check.h"
 #include "src/common/json.h"
 #include "src/topology/topology.h"
 
@@ -38,26 +37,8 @@ namespace {
 
 struct Cell {
   int endpoints;
-  std::string policy;
   ct::ExperimentResult result;
 };
-
-void CheckBitIdentical(const ct::ExperimentResult& a, const ct::ExperimentResult& b,
-                       int endpoints, const std::string& policy) {
-  const auto context = [&] {
-    return " (endpoints=" + std::to_string(endpoints) + ", policy=" + policy + ")";
-  };
-  CHECK(a.migration_commit_hash == b.migration_commit_hash)
-      << "commit-sequence hash diverged across identical runs" << context();
-  CHECK(a.throughput_ops == b.throughput_ops)
-      << "throughput diverged across identical runs" << context();
-  CHECK(a.fmar == b.fmar) << "FMAR diverged across identical runs" << context();
-  CHECK(a.congested_accesses == b.congested_accesses &&
-        a.congestion_queued_ns == b.congestion_queued_ns)
-      << "congestion counters diverged across identical runs" << context();
-  CHECK(a.multi_hop_copies == b.multi_hop_copies && a.multi_hop_legs == b.multi_hop_legs)
-      << "routed-copy counters diverged across identical runs" << context();
-}
 
 }  // namespace
 
@@ -103,8 +84,9 @@ int main(int argc, char** argv) {
   std::vector<Cell> cells;
   for (size_t r = 0; r < rows.size(); ++r) {
     for (size_t i = 0; i < policies.size(); ++i) {
-      CheckBitIdentical(first[r][i], second[r][i], endpoint_counts[r], policies[i].name);
-      cells.push_back({endpoint_counts[r], policies[i].name, first[r][i]});
+      ct::CheckBitIdentical(first[r][i], second[r][i],
+                            rows[r].label + "/" + policies[i].name);
+      cells.push_back({endpoint_counts[r], first[r][i]});
     }
   }
   std::printf("determinism: %zu configurations bit-identical across two runs\n\n",
@@ -145,17 +127,7 @@ int main(int argc, char** argv) {
     for (const Cell& cell : cells) {
       json.BeginObject();
       json.Field("endpoints", cell.endpoints);
-      json.Field("policy", cell.policy);
-      json.Field("throughput_ops", cell.result.throughput_ops);
-      json.Field("fmar", cell.result.fmar);
-      json.Field("p99_latency_ns", cell.result.p99_latency_ns);
-      json.Field("congested_accesses", cell.result.congested_accesses);
-      json.Field("congestion_queued_ns", cell.result.congestion_queued_ns);
-      json.Field("multi_hop_copies", cell.result.multi_hop_copies);
-      json.Field("multi_hop_legs", cell.result.multi_hop_legs);
-      json.Field("migrations_committed", cell.result.migrations_committed);
-      json.Field("migrations_refused", cell.result.migrations_refused);
-      json.Field("commit_hash", cell.result.migration_commit_hash);
+      ct::WriteResultFields(json, cell.result);
       json.EndObject();
     }
     json.EndArray();

@@ -123,11 +123,7 @@ void CheckRun(ct::Machine& machine, ct::ExperimentResult& result) {
   CHECK_GT(result.audits_run, 0u)
       << "policy " << result.policy_name << " ran without a single invariant audit";
   // The ledger must balance even with tenant QoS refusing submissions mid-stream.
-  const uint64_t retired = result.migrations_committed + result.migrations_aborted +
-                           result.migrations_parked;
-  CHECK_LE(retired, result.migrations_submitted + result.inflight_at_measure_start +
-                        machine.migration().inflight_transactions())
-      << "policy " << result.policy_name << " lost track of migrations";
+  ct::CheckMigrationLedger(machine, result);
 }
 
 struct Cell {
@@ -135,35 +131,6 @@ struct Cell {
   std::string policy;
   ct::ExperimentResult result;
 };
-
-void CheckBitIdentical(const ct::ExperimentResult& a, const ct::ExperimentResult& b,
-                       const std::string& row, const std::string& policy) {
-  const auto context = [&] { return " (row=" + row + ", policy=" + policy + ")"; };
-  CHECK(a.migration_commit_hash == b.migration_commit_hash)
-      << "commit-sequence hash diverged across identical runs" << context();
-  CHECK(a.throughput_ops == b.throughput_ops)
-      << "throughput diverged across identical runs" << context();
-  CHECK(a.fmar == b.fmar) << "FMAR diverged across identical runs" << context();
-  CHECK(a.migrations_submitted == b.migrations_submitted &&
-        a.migrations_committed == b.migrations_committed &&
-        a.migrations_refused == b.migrations_refused)
-      << "migration counters diverged across identical runs" << context();
-  CHECK(a.tenants.size() == b.tenants.size())
-      << "tenant row count diverged across identical runs" << context();
-  for (size_t t = 0; t < a.tenants.size(); ++t) {
-    const ct::TenantResult& x = a.tenants[t];
-    const ct::TenantResult& y = b.tenants[t];
-    CHECK(x.accesses == y.accesses && x.qos_checks == y.qos_checks &&
-          x.qos_refusals == y.qos_refusals && x.qos_admits == y.qos_admits &&
-          x.borrows == y.borrows &&
-          x.migration_pages_admitted == y.migration_pages_admitted &&
-          x.migration_bytes_admitted == y.migration_bytes_admitted &&
-          x.resident_fast_pages == y.resident_fast_pages &&
-          x.resident_total_pages == y.resident_total_pages &&
-          x.p50_latency_ns == y.p50_latency_ns && x.p99_latency_ns == y.p99_latency_ns)
-        << "tenant " << x.name << " counters diverged across identical runs" << context();
-  }
-}
 
 uint64_t SumRefusals(const ct::ExperimentResult& result) {
   uint64_t sum = 0;
@@ -340,7 +307,7 @@ int main(int argc, char** argv) {
                            const auto& first, const auto& second) {
     for (size_t r = 0; r < rows.size(); ++r) {
       for (size_t i = 0; i < lineup.size(); ++i) {
-        CheckBitIdentical(first[r][i], second[r][i], rows[r].label, lineup[i].name);
+        ct::CheckBitIdentical(first[r][i], second[r][i], rows[r].label + "/" + lineup[i].name);
         cells.push_back({rows[r].label, lineup[i].name, first[r][i]});
       }
     }
@@ -466,35 +433,9 @@ int main(int argc, char** argv) {
     json.Key("runs");
     json.BeginArray();
     for (const Cell& cell : cells) {
-      const ct::ExperimentResult& r = cell.result;
       json.BeginObject();
       json.Field("row", cell.row);
-      json.Field("policy", cell.policy);
-      json.Field("throughput_ops", r.throughput_ops);
-      json.Field("fmar", r.fmar);
-      json.Field("committed", r.migrations_committed);
-      json.Field("refused", r.migrations_refused);
-      json.Field("audits_run", r.audits_run);
-      json.Field("commit_hash", r.migration_commit_hash);
-      json.Key("tenants");
-      json.BeginArray();
-      for (const ct::TenantResult& t : r.tenants) {
-        json.BeginObject();
-        json.Field("name", t.name);
-        json.Field("accesses", t.accesses);
-        json.Field("p50_latency_ns", t.p50_latency_ns);
-        json.Field("p99_latency_ns", t.p99_latency_ns);
-        json.Field("resident_fast_pages", t.resident_fast_pages);
-        json.Field("resident_total_pages", t.resident_total_pages);
-        json.Field("qos_checks", t.qos_checks);
-        json.Field("qos_refusals", t.qos_refusals);
-        json.Field("qos_admits", t.qos_admits);
-        json.Field("borrows", t.borrows);
-        json.Field("migration_pages_admitted", t.migration_pages_admitted);
-        json.Field("migration_bytes_admitted", t.migration_bytes_admitted);
-        json.EndObject();
-      }
-      json.EndArray();
+      ct::WriteResultFields(json, cell.result);
       json.EndObject();
     }
     json.EndArray();

@@ -39,13 +39,10 @@ ExperimentResult Experiment::Run(const ExperimentConfig& config,
     const ProcessSpec& spec = process_specs[i];
     Process& process = machine.CreateProcess(spec.name.empty() ? "proc" : spec.name);
     process.set_default_page_kind(page_kind);
-    process.set_access_delay(spec.access_delay);
     if (!config.tenants.empty()) {
       CHECK(spec.tenant >= 0 && static_cast<size_t>(spec.tenant) < config.tenants.size())
           << "process " << spec.name << " names tenant " << spec.tenant << " but only "
           << config.tenants.size() << " are declared";
-      // May override the deprecated per-process delay set above when the tenant
-      // declares its own.
       machine.AssignTenant(process, spec.tenant);
     }
     machine.AttachWorkload(process, spec.make_stream(),

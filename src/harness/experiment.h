@@ -19,10 +19,6 @@ using StreamFactory = std::function<std::unique_ptr<AccessStream>()>;
 struct ProcessSpec {
   std::string name = "proc";
   StreamFactory make_stream;
-  // Deprecated alias for TenantSpec::access_delay (Fig. 9's per-cgroup stall knob):
-  // still honoured, but a nonzero delay on the owning tenant overrides it. New code
-  // should declare tenants and set the delay there.
-  SimDuration access_delay = 0;
   // Owning tenant (index into ExperimentConfig::tenants; 0 = first/default tenant).
   int tenant = 0;
 };

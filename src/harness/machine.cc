@@ -273,8 +273,8 @@ void Machine::AssignTenant(Process& process, int tenant) {
                        << " holds " << resident << " resident pages";
   process.set_tenant(tenant);
   tenants_.AssignProcess(process.pid(), tenant);
-  // Fold the tenant's Fig. 9 stall knob onto the member process; a nonzero tenant delay
-  // overrides the deprecated per-process alias (ProcessSpec::access_delay).
+  // Fold the tenant's Fig. 9 stall knob onto the member process; a zero tenant delay
+  // leaves whatever the process already carries (Process::set_access_delay).
   const TenantSpec& spec = tenants_.spec(tenant);
   if (spec.access_delay > 0) {
     process.set_access_delay(spec.access_delay);

@@ -1,141 +1,37 @@
 // Pipelined workload generation tests (src/harness/op_pipeline.h).
 //
 // The claim: generating a self-contained stream's batches on a second thread changes no
-// result. Every equivalence test below runs the same experiment with the pipeline forced
-// off and forced on (ScopedPipelineOverride, so the core budget of the host does not
-// matter) and compares every ExperimentResult field, tenant rows included. The rest pin
-// the edges: finite streams, a stream that throws or CHECK-fails at op k (same op in both
+// result. The pipeline_on/pipeline_off cells of the equivalence matrix
+// (tests/equivalence_test.cc) check it for every policy on the pmbench, segmented,
+// tenant_kv and chaos schedules. The tests here pin the edges, with the pipeline forced
+// off and on (ScopedPipelineOverride, so the core budget of the host does not matter):
+// 7-op slots, finite streams, a stream that throws or CHECK-fails at op k (same op in both
 // modes), teardown while the generator is parked or after a mid-run failure, decorators
 // that must stay in-thread, and the core budget. Run under TSan (CHRONOTIER_TSAN=ON) to
 // check the cross-thread edge itself.
 
 #include <gtest/gtest.h>
 
-#include <cctype>
 #include <chrono>
 #include <cstdio>
 #include <memory>
-#include <ostream>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "bench/bench_common.h"
 #include "src/common/check.h"
-#include "src/core/standard_policies.h"
 #include "src/harness/experiment.h"
 #include "src/harness/machine.h"
 #include "src/harness/op_pipeline.h"
+#include "src/harness/result_fields.h"
 #include "src/harness/runner.h"
-#include "src/workloads/patterns.h"
 #include "src/workloads/pmbench.h"
-#include "src/workloads/tenant_kv.h"
 #include "src/workloads/trace.h"
-#include "tests/experiment_result_testutil.h"
+#include "tests/test_schedules.h"
 
 namespace chronotier {
 namespace {
-
-ScanGeometry FastGeometry() {
-  ScanGeometry geometry;
-  geometry.scan_period = 2 * kSecond;
-  geometry.scan_step_pages = 512;
-  return geometry;
-}
-
-ExperimentConfig SmallExperiment() {
-  ExperimentConfig config;
-  config.total_pages = 16384;  // 64 MB machine, 16 MB DRAM.
-  config.bandwidth_scale = 256.0;
-  config.warmup = 3 * kSecond;
-  config.measure = 3 * kSecond;
-  config.residency_sample_interval = kSecond;
-  return config;
-}
-
-std::vector<ProcessSpec> PmbenchProcs(int count, uint64_t op_limit = 0) {
-  PmbenchConfig w;
-  w.working_set_bytes = 6144 * kBasePageSize;
-  w.read_ratio = 0.7;
-  w.per_op_delay = kMicrosecond;
-  w.sequential_init = true;
-  w.op_limit = op_limit;
-  std::vector<ProcessSpec> procs;
-  for (int i = 0; i < count; ++i) {
-    procs.push_back({"pm", [w] { return std::make_unique<PmbenchStream>(w); }});
-  }
-  return procs;
-}
-
-std::vector<ProcessSpec> SegmentedProcs(int count) {
-  SegmentedConfig w;
-  w.working_set_bytes = 6144 * kBasePageSize;
-  w.segments = 12;
-  w.read_ratio = 0.3;
-  w.per_op_delay = kMicrosecond;
-  w.sequential_init = true;
-  std::vector<ProcessSpec> procs;
-  for (int i = 0; i < count; ++i) {
-    procs.push_back({"seg", [w] { return std::make_unique<SegmentedStream>(w); }});
-  }
-  return procs;
-}
-
-// perfbench's tenant_cxl shape in miniature: 8 fair-share tenants, one open-loop KV server
-// each, on the 4-endpoint chain fabric.
-ExperimentConfig TenantExperiment(std::vector<ProcessSpec>* procs) {
-  ExperimentConfig config = SmallExperiment();
-  config.topology = BenchChainTopology(4, config.total_pages, config.fast_fraction);
-  TenantKvConfig w;
-  w.virtual_tenants = 8;
-  w.items_per_tenant = 64;
-  w.value_bytes = kBasePageSize;
-  w.churn_period_ops = 4000;
-  w.churn_stride = 5;
-  w.mean_interarrival = 8 * kMicrosecond;
-  for (int i = 0; i < 8; ++i) {
-    TenantSpec tenant;
-    tenant.name = "t" + std::to_string(i);
-    tenant.weight = static_cast<double>(1 + i % 4);
-    tenant.residency_budget_pages = {256};
-    tenant.qos_program = "fair-share";
-    config.tenants.push_back(tenant);
-    ProcessSpec spec{"kv-" + std::to_string(i),
-                     [w] { return std::make_unique<TenantKvStream>(w); }};
-    spec.tenant = i;
-    procs->push_back(spec);
-  }
-  return config;
-}
-
-ExperimentConfig ChaosExperiment() {
-  ExperimentConfig config = SmallExperiment();
-  config.fault.enabled = true;
-  config.fault.seed = 11;
-  config.fault.start_after = kSecond;
-  config.fault.copy_fail_transient_p = 0.05;
-  config.fault.copy_fail_persistent_p = 0.002;
-  config.fault.pressure_period = 1500 * kMillisecond;
-  config.fault.pressure_fire_p = 0.8;
-  config.fault.pressure_duration = 100 * kMillisecond;
-  config.fault.pressure_fraction = 0.08;
-  config.fault.alloc_fail_period = 1900 * kMillisecond;
-  config.fault.alloc_fail_fire_p = 0.8;
-  config.fault.alloc_fail_duration = 50 * kMillisecond;
-  config.audit_period = 500 * kMillisecond;
-  return config;
-}
-
-NamedPolicyFactory FindPolicy(const std::string& name) {
-  for (const auto& named : TopologyPolicySet(FastGeometry())) {
-    if (named.name == name) {
-      return named;
-    }
-  }
-  ADD_FAILURE() << "no such policy: " << name;
-  return {};
-}
 
 // Runs `config` with the pipeline forced off and forced on and compares every field. Also
 // checks that each run took the path it was forced onto.
@@ -155,59 +51,8 @@ void ExpectPipelineEquivalence(const std::string& key, const ExperimentConfig& c
   const ExperimentResult pipelined = run(true, &pipelined_streams);
   EXPECT_EQ(in_thread_streams, 0u) << key;
   EXPECT_EQ(pipelined_streams, procs.size()) << key;
-  ExpectResultsIdentical(in_thread, pipelined, key + ": pipelined vs in-thread");
+  EXPECT_EQ(FirstDifference(in_thread, pipelined), "") << key << ": pipelined vs in-thread";
 }
-
-// The equivalence matrix: every policy on each workload shape, one test per cell so each
-// stays short under TSan.
-struct Cell {
-  const char* workload;
-  const char* policy;
-};
-
-void PrintTo(const Cell& cell, std::ostream* os) { *os << cell.workload << "/" << cell.policy; }
-
-std::vector<Cell> Cells() {
-  std::vector<Cell> cells;
-  for (const char* workload : {"pmbench", "segmented", "tenant_kv"}) {
-    for (const char* policy : {"Linux-NB", "AutoTiering", "Multi-Clock", "TPP", "Memtis",
-                               "Chrono", "endpoint_aware_hotness"}) {
-      cells.push_back({workload, policy});
-    }
-  }
-  cells.push_back({"chaos", "Chrono"});
-  cells.push_back({"chaos", "Multi-Clock"});
-  return cells;
-}
-
-std::string CellName(const ::testing::TestParamInfo<Cell>& info) {
-  std::string name = std::string(info.param.workload) + "_" + info.param.policy;
-  for (char& c : name) {
-    c = std::isalnum(static_cast<unsigned char>(c)) != 0 ? c : '_';
-  }
-  return name;
-}
-
-class PipelineEquivalenceTest : public ::testing::TestWithParam<Cell> {};
-
-TEST_P(PipelineEquivalenceTest, PipelinedMatchesInThread) {
-  const Cell& cell = GetParam();
-  const std::string workload = cell.workload;
-  ExperimentConfig config = workload == "chaos" ? ChaosExperiment() : SmallExperiment();
-  std::vector<ProcessSpec> procs;
-  if (workload == "tenant_kv") {
-    config = TenantExperiment(&procs);
-  } else if (workload == "segmented") {
-    procs = SegmentedProcs(2);
-  } else {
-    procs = PmbenchProcs(2);
-  }
-  ExpectPipelineEquivalence(workload + "/" + cell.policy, config, FindPolicy(cell.policy),
-                            procs);
-}
-
-INSTANTIATE_TEST_SUITE_P(Matrix, PipelineEquivalenceTest, ::testing::ValuesIn(Cells()),
-                         CellName);
 
 TEST(PipelineTest, SmallBatchWrapsTheRing) {
   // 7-op slots never align with quanta, and 16 of them wrap the ring many times a second.
@@ -215,7 +60,8 @@ TEST(PipelineTest, SmallBatchWrapsTheRing) {
   config.warmup = kSecond;
   config.measure = 2 * kSecond;
   config.replay_batch_ops = 7;
-  ExpectPipelineEquivalence("batch7/Chrono", config, FindPolicy("Chrono"), PmbenchProcs(2));
+  ExpectPipelineEquivalence("batch7/Chrono", config, FindPolicy("Chrono"),
+                            GaussianProcs(2, /*read_ratio=*/0.7));
 }
 
 TEST(PipelineTest, FiniteStreamsEndAtTheSameOp) {
@@ -227,7 +73,8 @@ TEST(PipelineTest, FiniteStreamsEndAtTheSameOp) {
     config.run_to_completion = true;
     config.measure = 60 * kSecond;
     ExpectPipelineEquivalence("finite/" + std::to_string(op_limit), config,
-                              FindPolicy("Chrono"), PmbenchProcs(2, op_limit));
+                              FindPolicy("Chrono"),
+                              GaussianProcs(2, /*read_ratio=*/0.7, 6144, op_limit));
   }
 }
 
@@ -376,7 +223,7 @@ std::vector<ExperimentJob> ProbeBatch(size_t cells, std::vector<size_t>* pipelin
     job.config.warmup = 0;
     job.config.measure = 200 * kMillisecond;
     job.make_policy = FindPolicy("Linux-NB").make;
-    job.processes = PmbenchProcs(2);
+    job.processes = GaussianProcs(2, /*read_ratio=*/0.7);
     size_t* slot = &(*pipelined)[i];
     job.finish = [slot](Machine& machine, ExperimentResult&) {
       *slot = machine.pipelined_streams();

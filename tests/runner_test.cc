@@ -9,36 +9,14 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <string>
 
-#include "src/core/standard_policies.h"
+#include "src/harness/result_fields.h"
 #include "src/harness/runner.h"
-#include "src/workloads/pmbench.h"
-#include "tests/experiment_result_testutil.h"
+#include "tests/test_schedules.h"
 
 namespace chronotier {
 namespace {
-
-ScanGeometry FastGeometry() {
-  ScanGeometry geometry;
-  geometry.scan_period = 2 * kSecond;
-  geometry.scan_step_pages = 512;
-  return geometry;
-}
-
-std::vector<ProcessSpec> GaussianProcs(int count, double read_ratio = 0.95) {
-  PmbenchConfig w;
-  w.working_set_bytes = 3072 * kBasePageSize;  // 12 MB.
-  w.read_ratio = read_ratio;
-  w.per_op_delay = kMicrosecond;
-  w.sequential_init = true;
-  std::vector<ProcessSpec> procs;
-  for (int i = 0; i < count; ++i) {
-    procs.push_back({"pm", [w] { return std::make_unique<PmbenchStream>(w); }});
-  }
-  return procs;
-}
 
 // A batch that exercises every result field: two policies, two seeds, residency sampling
 // everywhere, and one fault-injected cell.
@@ -58,7 +36,7 @@ std::vector<ExperimentJob> MixedBatch() {
       job.config.seed = seed;
       job.config.residency_sample_interval = kSecond;
       job.make_policy = named.make;
-      job.processes = GaussianProcs(2, /*read_ratio=*/0.5);
+      job.processes = GaussianProcs(2, /*read_ratio=*/0.5, /*ws_pages=*/3072);  // 12 MB.
       batch.push_back(std::move(job));
     }
   }
@@ -87,7 +65,7 @@ TEST(RunnerTest, ParallelMatchesSerialBitwise) {
   ASSERT_EQ(serial.size(), batch.size());
   ASSERT_EQ(parallel.size(), batch.size());
   for (size_t i = 0; i < batch.size(); ++i) {
-    ExpectResultsIdentical(parallel[i], serial[i], "job=" + batch[i].label);
+    EXPECT_EQ(FirstDifference(parallel[i], serial[i]), "") << "job=" << batch[i].label;
     EXPECT_FALSE(serial[i].sample_times.empty()) << batch[i].label;
   }
   // The equivalence is only meaningful if the cells are genuinely different runs.
@@ -118,8 +96,8 @@ TEST(RunnerTest, JobCountIsClamped) {
     const std::vector<ExperimentResult> results = RunExperiments(batch, jobs);
     ASSERT_EQ(results.size(), reference.size());
     for (size_t i = 0; i < results.size(); ++i) {
-      ExpectResultsIdentical(results[i], reference[i],
-                             "jobs=" + std::to_string(jobs) + " slot=" + std::to_string(i));
+      EXPECT_EQ(FirstDifference(results[i], reference[i]), "")
+          << "jobs=" << jobs << " slot=" << i;
     }
   }
 }

@@ -1,11 +1,9 @@
 // Access fast lane (software TLB) tests.
 //
-// The load-bearing claim: a run with the translation cache enabled is *bit-identical* to
-// the same run with it disabled — same metrics, same migration commit sequence, same
-// residency samples — because the fast lane replays exactly the slow path's tail for
-// eligible units. The equivalence tests check that across the full policy lineup,
-// including migration-heavy and fault-injected schedules. The stale-translation tests pin
-// down the invalidation points individually: PROT_NONE poisoning must still fault, and a
+// The load-bearing claim — a run with the translation cache enabled is bit-identical to
+// the same run with it disabled — is checked by the tlb_off cells of the equivalence
+// matrix (tests/equivalence_test.cc). The stale-translation tests here pin down the
+// invalidation points individually: PROT_NONE poisoning must still fault, and a
 // huge-group split must stop tail vpns from resolving to the stale group head.
 
 #include <gtest/gtest.h>
@@ -13,153 +11,12 @@
 #include <memory>
 #include <string>
 
-#include "src/core/standard_policies.h"
-#include "src/harness/experiment.h"
 #include "src/harness/machine.h"
 #include "src/vm/translation_cache.h"
-#include "src/workloads/patterns.h"
-#include "src/workloads/pmbench.h"
 #include "src/workloads/trace.h"
-#include "tests/experiment_result_testutil.h"
 
 namespace chronotier {
 namespace {
-
-ScanGeometry FastGeometry() {
-  ScanGeometry geometry;
-  geometry.scan_period = 2 * kSecond;
-  geometry.scan_step_pages = 512;
-  return geometry;
-}
-
-ExperimentConfig SmallExperiment() {
-  ExperimentConfig config;
-  config.total_pages = 16384;  // 64 MB machine, 16 MB DRAM.
-  config.bandwidth_scale = 256.0;
-  config.warmup = 6 * kSecond;
-  config.measure = 6 * kSecond;
-  config.residency_sample_interval = 2 * kSecond;  // Compare time series too.
-  return config;
-}
-
-std::vector<ProcessSpec> GaussianProcs(int count, double read_ratio = 0.95,
-                                       uint64_t ws_pages = 6144) {
-  PmbenchConfig w;
-  w.working_set_bytes = ws_pages * kBasePageSize;
-  w.read_ratio = read_ratio;
-  w.per_op_delay = kMicrosecond;
-  w.sequential_init = true;
-  std::vector<ProcessSpec> procs;
-  for (int i = 0; i < count; ++i) {
-    procs.push_back({"pm", [w] { return std::make_unique<PmbenchStream>(w); }});
-  }
-  return procs;
-}
-
-// Runs one config twice — fast lane on and off — and requires identical results. Also
-// checks the TLB actually participated in the enabled run (the equivalence would be
-// vacuous if the fast lane never engaged).
-void ExpectTlbEquivalence(ExperimentConfig config, const NamedPolicyFactory& named,
-                          const std::vector<ProcessSpec>& procs) {
-  config.enable_translation_cache = false;
-  const ExperimentResult off = Experiment::Run(config, named.make, procs);
-
-  config.enable_translation_cache = true;
-  Machine::TlbCounters counters;
-  const ExperimentResult on = Experiment::Run(
-      config, named.make, procs, nullptr,
-      [&counters](Machine& machine, ExperimentResult&) { counters = machine.TlbStats(); });
-
-  ExpectResultsIdentical(on, off, "policy=" + named.name);
-  // Every policy takes the fast lane now, including PEBS-driven Memtis: the sampler's
-  // per-access charge is replayed inside FastPathAccess, so an active sampler no longer
-  // forces the slow path. The equivalence above would be vacuous otherwise.
-  EXPECT_GT(counters.hits, 0u) << named.name << ": fast lane never engaged";
-}
-
-TEST(TlbEquivalenceTest, AllPoliciesMatchWithTlbOff) {
-  for (const auto& named : StandardPolicySet(FastGeometry())) {
-    ExpectTlbEquivalence(SmallExperiment(), named, GaussianProcs(2));
-  }
-}
-
-TEST(TlbEquivalenceTest, NTierTopologyMatchesWithTlbOff) {
-  // N-endpoint CXL topology: hop penalties and per-endpoint congestion delays are charged
-  // on both the fast lane and the slow path with identical arguments, so the bit-identity
-  // contract must survive a machine where every access may queue.
-  ExperimentConfig config = SmallExperiment();
-  config.topology.tree = "(1,(2,4),(3,5))";
-  config.topology.capacity_pages = {4096, 3072, 3072, 3072, 3072};
-  for (const auto& named : TopologyPolicySet(FastGeometry())) {
-    if (named.name == "Chrono" || named.name == "Memtis" ||
-        named.name == "endpoint_aware_hotness") {
-      ExpectTlbEquivalence(config, named, GaussianProcs(2));
-    }
-  }
-}
-
-TEST(TlbEquivalenceTest, SegmentedAddressSpace) {
-  // Many-VMA address space (the shape sim_throughput measures): translations span 12
-  // regions per process and region-hopping defeats the last-hit VMA cache, so the fast
-  // lane carries almost every access. Must still be bit-identical to TLB-off.
-  std::vector<ProcessSpec> procs;
-  SegmentedConfig w;
-  w.working_set_bytes = 6144 * kBasePageSize;
-  w.segments = 12;
-  w.read_ratio = 0.9;
-  w.per_op_delay = kMicrosecond;
-  w.sequential_init = true;
-  for (int i = 0; i < 2; ++i) {
-    procs.push_back({"seg", [w] { return std::make_unique<SegmentedStream>(w); }});
-  }
-  for (const auto& named : StandardPolicySet(FastGeometry())) {
-    if (named.name == "Chrono" || named.name == "TPP") {
-      ExpectTlbEquivalence(SmallExperiment(), named, procs);
-    }
-  }
-}
-
-TEST(TlbEquivalenceTest, MigrationHeavySchedule) {
-  // Write-heavy working set larger than DRAM: constant promotion/demotion churn plus
-  // dirty-abort pressure — every migration-driven invalidation path fires.
-  ExperimentConfig config = SmallExperiment();
-  config.total_pages = 8192;  // 32 MB machine, 8 MB DRAM; the 12 MB x2 set thrashes it.
-  for (const std::string name : {"Chrono", "TPP", "Linux-NB"}) {
-    for (const auto& named : StandardPolicySet(FastGeometry())) {
-      if (named.name == name) {
-        ExpectTlbEquivalence(config, named,
-                             GaussianProcs(2, /*read_ratio=*/0.3, /*ws_pages=*/3072));
-      }
-    }
-  }
-}
-
-TEST(TlbEquivalenceTest, FaultInjectedSchedule) {
-  // Chaos plan: copy faults park transactions and quarantine frames, pressure spikes force
-  // emergency reclaim (demotions under degraded watermarks), alloc-fail windows refuse
-  // demand faults. All of it must replay identically through the fast lane.
-  ExperimentConfig config = SmallExperiment();
-  config.fault.enabled = true;
-  config.fault.seed = 11;
-  config.fault.start_after = kSecond;
-  config.fault.copy_fail_transient_p = 0.05;
-  config.fault.copy_fail_persistent_p = 0.002;
-  config.fault.pressure_period = 1500 * kMillisecond;
-  config.fault.pressure_fire_p = 0.8;
-  config.fault.pressure_duration = 100 * kMillisecond;
-  config.fault.pressure_fraction = 0.08;
-  config.fault.alloc_fail_period = 1900 * kMillisecond;
-  config.fault.alloc_fail_fire_p = 0.8;
-  config.fault.alloc_fail_duration = 50 * kMillisecond;
-  config.audit_period = 500 * kMillisecond;
-  for (const auto& named : StandardPolicySet(FastGeometry())) {
-    if (named.name == "Chrono" || named.name == "Multi-Clock") {
-      ExpectTlbEquivalence(config, named, GaussianProcs(2, /*read_ratio=*/0.5));
-    }
-  }
-}
-
-// --- Stale-translation unit tests ---
 
 class NullPolicy : public TieringPolicy {
  public:

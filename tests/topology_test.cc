@@ -10,6 +10,7 @@
 
 #include "src/core/standard_policies.h"
 #include "src/harness/experiment.h"
+#include "src/harness/result_fields.h"
 #include "src/policies/endpoint_aware.h"
 #include "src/topology/congestion.h"
 #include "src/topology/topology.h"
@@ -233,11 +234,7 @@ TEST(TopologyMachineTest, NEndpointRunsAreBitIdentical) {
        {TopologyPolicySet()[5], TopologyPolicySet()[6]}) {  // Chrono, endpoint_aware.
     const ExperimentResult r1 = Experiment::Run(config, policy.make, {proc});
     const ExperimentResult r2 = Experiment::Run(config, policy.make, {proc});
-    EXPECT_EQ(r1.migration_commit_hash, r2.migration_commit_hash) << policy.name;
-    EXPECT_EQ(r1.throughput_ops, r2.throughput_ops) << policy.name;
-    EXPECT_EQ(r1.congested_accesses, r2.congested_accesses) << policy.name;
-    EXPECT_EQ(r1.congestion_queued_ns, r2.congestion_queued_ns) << policy.name;
-    EXPECT_EQ(r1.multi_hop_copies, r2.multi_hop_copies) << policy.name;
+    EXPECT_EQ(FirstDifference(r1, r2), "") << policy.name;
   }
 }
 

@@ -1,7 +1,8 @@
 // Tests for trace record/replay (exact capture, file round-trip, replay fidelity across
-// machines, repeat semantics) and for the observability subsystem (src/trace): the
-// tracing-on/off bitwise-determinism guarantee, ring overwrite accounting, category
-// masks, per-page provenance, telemetry sampling, and the Chrome-trace exporter.
+// machines, repeat semantics) and for the observability subsystem (src/trace): ring
+// overwrite accounting, category masks, per-page provenance, telemetry sampling, and the
+// Chrome-trace exporter. The tracing-on/off bitwise-determinism guarantee is checked by
+// the traced cells of the equivalence matrix (tests/equivalence_test.cc).
 
 #include <gtest/gtest.h>
 
@@ -13,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "src/core/standard_policies.h"
 #include "src/harness/experiment.h"
 #include "src/harness/machine.h"
 #include "src/policies/linux_nb.h"
@@ -22,7 +22,7 @@
 #include "src/workloads/patterns.h"
 #include "src/workloads/pmbench.h"
 #include "src/workloads/trace.h"
-#include "tests/experiment_result_testutil.h"
+#include "tests/test_schedules.h"
 
 namespace chronotier {
 namespace {
@@ -152,71 +152,6 @@ TEST(TraceTest, ReplayWorksUnderRealPolicy) {
 // ---------------------------------------------------------------------------------------
 // Observability subsystem (src/trace): Tracer / provenance / telemetry / exporter.
 // ---------------------------------------------------------------------------------------
-
-ScanGeometry ObsGeometry() {
-  ScanGeometry geometry;
-  geometry.scan_period = 2 * kSecond;
-  geometry.scan_step_pages = 512;
-  return geometry;
-}
-
-ExperimentConfig ObsMachine() {
-  ExperimentConfig config;
-  config.total_pages = 8192;  // 32 MB machine, 8 MB DRAM.
-  config.bandwidth_scale = 256.0;
-  config.warmup = 2 * kSecond;
-  config.measure = 3 * kSecond;
-  config.seed = 7;
-  config.residency_sample_interval = kSecond;
-  return config;
-}
-
-std::vector<ProcessSpec> ObsProcs() {
-  PmbenchConfig w;
-  w.working_set_bytes = 3072 * kBasePageSize;  // 12 MB > DRAM: forces migration traffic.
-  w.read_ratio = 0.5;
-  w.per_op_delay = 8 * kMicrosecond;
-  w.sequential_init = true;
-  return {{"pm", [w] { return std::make_unique<PmbenchStream>(w); }},
-          {"pm", [w] { return std::make_unique<PmbenchStream>(w); }}};
-}
-
-// Everything on, ring sized so nothing is ever overwritten (the equivalence claim needs
-// the full volume recorded, and the drops counter is part of the compared result).
-TraceConfig FullTracing() {
-  TraceConfig trace;
-  trace.enabled = true;
-  trace.categories = kTraceAllCategories;
-  trace.ring_capacity = 1ull << 21;
-  trace.provenance_sample_period = 16;
-  trace.telemetry_period = 100 * kMillisecond;
-  return trace;
-}
-
-// The subsystem's core guarantee: tracing is strictly observational. With every category
-// enabled (including per-access events on the fast path), every policy must produce an
-// ExperimentResult bitwise identical to the untraced run — any divergence means an
-// instrumentation site perturbed simulation state, RNG draws, or event interleaving.
-TEST(ObservabilityTest, TracingOnIsBitwiseIdenticalForEveryPolicy) {
-  for (const auto& named : StandardPolicySet(ObsGeometry())) {
-    ExperimentConfig off = ObsMachine();
-    ExperimentConfig on = ObsMachine();
-    on.trace = FullTracing();
-
-    const ExperimentResult result_off = Experiment::Run(off, named.make, ObsProcs());
-    uint64_t recorded = 0;
-    const ExperimentResult result_on = Experiment::Run(
-        on, named.make, ObsProcs(), nullptr, [&recorded](Machine& machine, ExperimentResult&) {
-          ASSERT_NE(machine.tracer(), nullptr);
-          recorded = machine.tracer()->recorded();
-        });
-
-    EXPECT_GT(recorded, 0u) << named.name;
-    // The ring must have been big enough, or the comparison below proves nothing.
-    EXPECT_EQ(result_on.trace_events_dropped, 0u) << named.name;
-    ExpectResultsIdentical(result_off, result_on, named.name);
-  }
-}
 
 TEST(ObservabilityTest, RingOverwriteAccountingIsExact) {
   TraceConfig config;
@@ -404,9 +339,8 @@ TEST(ObservabilityTest, ExperimentWritesAllExportFiles) {
   config.trace.provenance_path = dir + "/obs_provenance.txt";
   config.trace.provenance_sample_period = 4;
 
-  const auto policies = StandardPolicySet(ObsGeometry());
   const ExperimentResult result =
-      Experiment::Run(config, policies.front().make, ObsProcs());
+      Experiment::Run(config, FindPolicy("Linux-NB").make, ObsProcs());
   EXPECT_EQ(result.trace_events_dropped, 0u);
 
   std::ifstream trace_file(config.trace.export_path);
@@ -441,9 +375,8 @@ TEST(ObservabilityTest, TinyRingSurfacesDropsInResult) {
   config.trace = FullTracing();
   config.trace.ring_capacity = 64;  // Guaranteed to wrap under the access firehose.
 
-  const auto policies = StandardPolicySet(ObsGeometry());
   const ExperimentResult result =
-      Experiment::Run(config, policies.front().make, ObsProcs());
+      Experiment::Run(config, FindPolicy("Linux-NB").make, ObsProcs());
   EXPECT_GT(result.trace_events_dropped, 0u);
 }
 
