@@ -75,7 +75,10 @@ ct::ExperimentConfig TenantMachine(uint64_t total_mb, uint64_t seed, bool quick)
   return config;
 }
 
-// The chaos-soak fault schedule (bench/chaos_soak's shape, 2-tier fields only).
+// fig15's own chaos fault schedule (2-tier fields only). It is not bench_common.h's
+// BenchChaosPlan, which chaos_soak and fabric_soak run: this one starts at 1 s, fails
+// copies with p 0.02, stalls every 700 ms and adds pressure every 1300 ms (BenchChaosPlan:
+// 2 s, 0.03, 900 ms, 1700 ms), and allocation failures every 1900 ms.
 ct::FaultPlan ChaosPlan(uint64_t seed) {
   ct::FaultPlan plan;
   plan.enabled = true;

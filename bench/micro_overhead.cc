@@ -207,16 +207,32 @@ void BM_FillBatchTenantKv(benchmark::State& state) {
 }
 BENCHMARK(BM_FillBatchTenantKv);
 
-// One Zipf draw; Arg = n. 192 is tenant_kv's keyspace (tabulated acceptance bound),
-// 100000 is above the table cap (two pow calls per rejection test).
+// One Zipf draw; Arg = n at tenant_kv's exponent for it: 16 is its tenant-popularity draw
+// (s = 1.05), 192 its keyspace (s = 0.99); both are under the table cap (acceptance bound
+// and guide tabulated). 100000 is above the cap (pow calls per draw).
+double TenantKvZipfS(int64_t n) { return n == 16 ? 1.05 : 0.99; }
+
 void BM_ZipfSample(benchmark::State& state) {
-  const ct::ZipfSampler zipf(static_cast<uint64_t>(state.range(0)), 0.99);
+  const ct::ZipfSampler zipf(static_cast<uint64_t>(state.range(0)),
+                             TenantKvZipfS(state.range(0)));
   ct::Rng rng(11);
   for (auto _ : state) {
     benchmark::DoNotOptimize(zipf.Sample(rng));
   }
 }
-BENCHMARK(BM_ZipfSample)->Arg(192)->Arg(100000);
+BENCHMARK(BM_ZipfSample)->Arg(16)->Arg(192)->Arg(100000);
+
+// One sampler's construction (its tables included), which each tenant_kv stream pays twice
+// per cell; Arg = n as for BM_ZipfSample.
+void BM_ZipfConstruct(benchmark::State& state) {
+  const auto n = static_cast<uint64_t>(state.range(0));
+  const double s = TenantKvZipfS(state.range(0));
+  for (auto _ : state) {
+    const ct::ZipfSampler zipf(n, s);
+    benchmark::DoNotOptimize(zipf.AcceptBound(1));
+  }
+}
+BENCHMARK(BM_ZipfConstruct)->Arg(16)->Arg(192);
 
 void BM_SelectionEfficiencyNumeric(benchmark::State& state) {
   const ct::HotnessDensity h(0.6);

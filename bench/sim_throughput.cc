@@ -54,8 +54,8 @@ ct::ExperimentConfig ThroughputMachine(bool tlb) {
   config.enable_translation_cache = tlb;
   // Oracle ground-truth bookkeeping is test/figure instrumentation, not part of the
   // simulated system; nothing in this bench reads it, and results are bit-identical
-  // either way (SoaSeedEquivalenceTest.OracleTrackingOff pins that). Leave it out of
-  // the timed loop so the measured cost is the replay path alone.
+  // either way (the __oracle_off cells of tests/equivalence_test.cc pin that). Leave it
+  // out of the timed loop so the measured cost is the replay path alone.
   config.track_oracle = false;
   return config;
 }

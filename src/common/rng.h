@@ -108,13 +108,25 @@ class Rng {
 // Zipf(s) sampler over {0, ..., n-1} using rejection-inversion (Hörmann & Derflinger).
 // Suitable for the skewed key-popularity distributions used by the KV-store workloads.
 //
-// For n <= kAcceptTableMax the per-rank acceptance bound H(k + 0.5) - k^-s is tabulated at
-// construction with the very expression Sample() would otherwise evaluate, so a draw reads
-// one double instead of calling pow twice and returns the same rank; above the cap the
-// bound is computed per draw.
+// For n <= kAcceptTableMax two tables built at construction replace the per-draw pow calls
+// and return the same rank from the same draws:
+//   - the acceptance bound H(k + 0.5) - k^-s per rank, tabulated with the very expression
+//     the rejection test would otherwise evaluate;
+//   - a guide over the top kGuideBits of the 53 raw bits NextDouble() uses. A bucket is
+//     marked with rank k when its whole r-interval, widened by kGuideSlack, maps into k's
+//     accepted u-interval [max(H(k - 0.5), bound(k)), H(k + 0.5)). u(r) is monotone under
+//     IEEE rounding and the bound test is exact, so only pow's error could move a draw
+//     across an edge, and the slack is orders wider than that error amplified by
+//     1 / |1 - s| (the guide is left empty for 0 < |1 - s| < kGuideMinExponentGap, where
+//     that amplification grows). A draw in a marked bucket returns the mark; any other
+//     runs the rejection loop body on the same draw.
+// Above the cap both are computed per draw.
 class ZipfSampler {
  public:
   static constexpr uint64_t kAcceptTableMax = 4096;
+  static constexpr int kGuideBits = 12;
+  static constexpr double kGuideSlack = 1e-9;
+  static constexpr double kGuideMinExponentGap = 1e-4;
 
   ZipfSampler(uint64_t n, double s);
 
@@ -124,6 +136,10 @@ class ZipfSampler {
   double AcceptBound(uint64_t k) const {
     return accept_.empty() ? AcceptBoundFormula(k) : accept_[k - 1];
   }
+
+  // The rank k in [1, n] a draw whose top kGuideBits raw bits equal `bucket` returns, or 0
+  // when the bucket is not marked (for the tests).
+  uint64_t GuideRank(uint64_t bucket) const { return guide_.empty() ? 0 : guide_[bucket]; }
 
   uint64_t n() const { return n_; }
   double s() const { return s_; }
@@ -138,7 +154,8 @@ class ZipfSampler {
   double h_x1_;
   double h_n_;
   double threshold_;
-  std::vector<double> accept_;  // accept_[k - 1] = AcceptBoundFormula(k); empty above the cap.
+  std::vector<double> accept_;    // accept_[k - 1] = AcceptBoundFormula(k); empty above the cap.
+  std::vector<uint16_t> guide_;   // 2^kGuideBits ranks, 0 = unmarked; empty when unbuilt.
 };
 
 }  // namespace chronotier

@@ -560,7 +560,8 @@ SimDuration Machine::FastPathAccess(Process& process, PageInfo& unit, uint64_t v
   // Mirrors the tail of the slow path exactly for a present, non-PROT_NONE, non-migrating
   // unit: device charge (incl. hop penalty + link congestion), accessed/dirty maintenance,
   // store-generation bump, oracle bookkeeping, PEBS sampling, metrics. Any divergence here
-  // breaks the TLB-on/off equivalence contract (tests/tlb_test.cc).
+  // breaks the TLB-on/off equivalence contract (the __tlb_off cells of
+  // tests/equivalence_test.cc).
   const SimTime now = std::max(process.clock(), queue_.now());
   SimDuration latency = memory_.AccessLatency(unit.node, is_store);
   const SimDuration queued = memory_.ChargeAccessCongestion(unit.node, now);

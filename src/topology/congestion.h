@@ -29,7 +29,7 @@ class EndpointCongestion {
                      uint64_t access_bytes)
       : bandwidth_(bandwidth_bytes_per_sec),
         access_delay_cap_(access_delay_cap),
-        access_bytes_(access_bytes) {}
+        access_service_(bandwidth_bytes_per_sec > 0.0 ? ServiceTime(access_bytes) : 0) {}
 
   // Queuing delay traffic arriving at `now` would wait before its bytes move.
   SimDuration Backlog(SimTime now) const { return cursor_ > now ? cursor_ - now : 0; }
@@ -45,7 +45,9 @@ class EndpointCongestion {
       ++congested_accesses_;
       access_queued_time_ += delay;
     }
-    Advance(now, access_bytes_);
+    if (bandwidth_ > 0.0) {
+      cursor_ = std::max(cursor_, now) + access_service_;  // Advance(now, access_bytes)
+    }
     return delay;
   }
 
@@ -65,16 +67,20 @@ class EndpointCongestion {
   SimDuration peak_backlog() const { return peak_backlog_; }
 
  private:
+  // Link time to move `bytes`; accesses reuse the value the constructor computes for
+  // their fixed size.
+  SimDuration ServiceTime(uint64_t bytes) const {
+    return static_cast<SimDuration>(static_cast<double>(bytes) / bandwidth_ * 1e9);
+  }
+
   void Advance(SimTime now, uint64_t bytes) {
     if (bandwidth_ <= 0.0) return;
-    const auto service = static_cast<SimDuration>(
-        static_cast<double>(bytes) / bandwidth_ * 1e9);
-    cursor_ = std::max(cursor_, now) + service;
+    cursor_ = std::max(cursor_, now) + ServiceTime(bytes);
   }
 
   double bandwidth_ = 0.0;  // Bytes/sec; 0 disables (Backlog stays 0, delays stay 0).
   SimDuration access_delay_cap_ = 4 * kMicrosecond;
-  uint64_t access_bytes_ = 64;
+  SimDuration access_service_ = 0;  // ServiceTime(access_bytes); unused at bandwidth 0.
 
   SimTime cursor_ = 0;  // When the last booked byte drains.
   uint64_t accesses_ = 0;

@@ -2,10 +2,23 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "src/common/check.h"
 
 namespace chronotier {
+
+TenantKeyScramble::TenantKeyScramble(uint64_t tenants, uint64_t items) : items_(items) {
+  std::vector<uint64_t> offsets(tenants);
+  for (uint64_t tenant = 0; tenant < tenants; ++tenant) {
+    const uint64_t mix = SplitMix64(tenant);
+    if (mix > UINT64_MAX - (items - 1)) {
+      return;  // key_rank + mix can wrap: the reduced offset would not equal the formula.
+    }
+    offsets[tenant] = mix % items;
+  }
+  offsets_ = std::move(offsets);
+}
 
 void TenantKvStream::Init(Process& process, Rng& /*rng*/) {
   CHECK(config_.virtual_tenants > 0 && config_.items_per_tenant > 0)
@@ -18,6 +31,7 @@ void TenantKvStream::Init(Process& process, Rng& /*rng*/) {
 
   tenant_zipf_ = std::make_unique<ZipfSampler>(config_.virtual_tenants, config_.tenant_zipf_s);
   key_zipf_ = std::make_unique<ZipfSampler>(config_.items_per_tenant, config_.key_zipf_s);
+  key_scramble_ = TenantKeyScramble(config_.virtual_tenants, config_.items_per_tenant);
 }
 
 uint64_t TenantKvStream::DirentAddr(uint64_t tenant) const {
@@ -78,7 +92,7 @@ bool TenantKvStream::Next(Rng& rng, MemOp* op) {
   // keys sit at a tenant-specific scrambled offset so hot pages don't align across
   // tenants.
   const uint64_t key_rank = key_zipf_->Sample(rng);
-  const uint64_t item = (key_rank + SplitMix64(tenant)) % config_.items_per_tenant;
+  const uint64_t item = key_scramble_.Item(tenant, key_rank);
 
   SimDuration arrival_gap = config_.mean_interarrival;
   if (config_.poisson_arrivals && config_.mean_interarrival > 0) {
@@ -88,6 +102,54 @@ bool TenantKvStream::Next(Rng& rng, MemOp* op) {
   EmitOp(tenant, item, rng.NextBool(config_.set_fraction), arrival_gap);
   *op = burst_[burst_pos_++];
   return true;
+}
+
+size_t TenantKvStream::FillBatch(Rng& rng, MemOp* ops, size_t max) {
+  // Every Rng call and expression is Next()'s, in Next()'s order, so each op and the RNG
+  // state after the batch are identical (GeneratorBatchTest enforces this).
+  size_t produced = 0;
+  while (produced < max && (burst_pos_ < burst_len_ || init_cursor_ < total_items())) {
+    TenantKvStream::Next(rng, &ops[produced++]);  // Always produces in these two phases.
+  }
+  const uint64_t op_limit = config_.op_limit;
+  const uint64_t churn_period = config_.churn_period_ops;
+  const uint64_t value_span = std::max<uint64_t>(config_.value_bytes, 1) - 1;
+  const SimDuration mean_gap = config_.mean_interarrival;
+  const bool poisson = config_.poisson_arrivals && mean_gap > 0;
+  const double set_fraction = config_.set_fraction;
+  const ZipfSampler& tenant_zipf = *tenant_zipf_;
+  const ZipfSampler& key_zipf = *key_zipf_;
+  while (produced < max && (op_limit == 0 || ops_issued_ < op_limit)) {
+    const uint64_t epoch = churn_period == 0 ? 0 : ops_issued_ / churn_period;
+    ++ops_issued_;
+    const uint64_t tenant = TenantForRank(tenant_zipf.Sample(rng), epoch);
+    const uint64_t item = key_scramble_.Item(tenant, key_zipf.Sample(rng));
+    SimDuration arrival_gap = mean_gap;
+    if (poisson) {
+      arrival_gap = static_cast<SimDuration>(
+          std::llround(rng.NextExponential(static_cast<double>(mean_gap))));
+    }
+    const bool is_set = rng.NextBool(set_fraction);
+    const uint64_t first = ItemAddr(tenant, item);
+    if (first / kBasePageSize != (first + value_span) / kBasePageSize) {
+      EmitOp(tenant, item, is_set, arrival_gap);
+      while (produced < max && burst_pos_ < burst_len_) {
+        ops[produced++] = burst_[burst_pos_++];
+      }
+      continue;
+    }
+    // One value page: EmitOp's two-op burst, written in place.
+    ops[produced++] = MemOp{DirentAddr(tenant), false, arrival_gap};
+    const MemOp value{first, is_set, 0};
+    if (produced < max) {
+      ops[produced++] = value;
+    } else {
+      burst_[0] = value;
+      burst_len_ = 1;
+      burst_pos_ = 0;
+    }
+  }
+  return produced;
 }
 
 }  // namespace chronotier

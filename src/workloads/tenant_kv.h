@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "src/workloads/workload.h"
 
@@ -47,12 +48,41 @@ struct TenantKvConfig {
   SimDuration start_delay = 0;
 };
 
+// The per-tenant key scramble item = (key_rank + SplitMix64(tenant)) % items, with each
+// tenant's offset reduced once so a lookup pays a conditional subtract, not a division.
+// That equals the formula only while SplitMix64(tenant) + items - 1 cannot wrap; when it
+// can for some tenant the table stays empty and every lookup takes the formula.
+class TenantKeyScramble {
+ public:
+  TenantKeyScramble() = default;
+  TenantKeyScramble(uint64_t tenants, uint64_t items);
+
+  uint64_t Item(uint64_t tenant, uint64_t key_rank) const {
+    if (offsets_.empty()) {
+      return (key_rank + SplitMix64(tenant)) % items_;
+    }
+    const uint64_t item = key_rank + offsets_[tenant];
+    return item >= items_ ? item - items_ : item;
+  }
+
+  bool tabulated() const { return !offsets_.empty(); }
+
+ private:
+  uint64_t items_ = 1;
+  std::vector<uint64_t> offsets_;  // SplitMix64(tenant) % items; empty when it can wrap.
+};
+
 class TenantKvStream : public AccessStream {
  public:
   explicit TenantKvStream(TenantKvConfig config) : config_(config) {}
 
   void Init(Process& process, Rng& rng) override;
   bool Next(Rng& rng, MemOp* op) override;
+  // Next()'s ops and draws, with the measured mix run straight-line: each op's dirent and
+  // value MemOps go straight into `ops`, and an op the batch cuts off spills the rest of
+  // its burst for the next call. Drains, the init prefix, the op limit and values spanning
+  // several pages go through Next() or EmitOp().
+  size_t FillBatch(Rng& rng, MemOp* ops, size_t max) override;
   bool SelfContained() const override { return true; }
 
   bool initialization_done() const { return init_cursor_ >= total_items(); }
@@ -80,6 +110,7 @@ class TenantKvStream : public AccessStream {
 
   std::unique_ptr<ZipfSampler> tenant_zipf_;
   std::unique_ptr<ZipfSampler> key_zipf_;
+  TenantKeyScramble key_scramble_;
 
   uint64_t init_cursor_ = 0;
   uint64_t ops_issued_ = 0;

@@ -36,11 +36,12 @@ class AccessStream {
   // `max` means the stream ended. The default implementation delegates to Next() in a loop,
   // so any stream is batchable and the op/RNG sequence is identical to single-stepping —
   // that equivalence is what lets Machine::RunProcessUntil replay a whole batch per quantum
-  // with the virtual dispatch hoisted out of the per-op loop (tests/bitwise_equivalence_test
-  // holds batched and single-step replay to the same fingerprint). Streams with cheap bulk
-  // generation may override it (PmbenchStream does); an override must produce the ops a
-  // Next() loop would and leave `rng` in the same state, for every batch size and stream
-  // end. tests/generator_batch_test.cc (GeneratorBatchTest) enforces this per override.
+  // with the virtual dispatch hoisted out of the per-op loop (the __batch1 and __batch7
+  // cells of tests/equivalence_test.cc hold batched replay to the default's fingerprint).
+  // Streams with cheap bulk generation may override it (PmbenchStream and TenantKvStream
+  // do); an override must produce the ops a Next() loop would and leave `rng` in the same
+  // state, for every batch size and stream end. tests/generator_batch_test.cc
+  // (GeneratorBatchTest) enforces this per override.
   virtual size_t FillBatch(Rng& rng, MemOp* ops, size_t max) {
     size_t produced = 0;
     while (produced < max && Next(rng, &ops[produced])) {
